@@ -146,6 +146,6 @@ int main() {
     std::cout << "\nnote: the single-level structure (eq. (6)) is the one the "
                  "paper prices and prunes; the recursive packet tree is "
                  "costlier in a generic implementation and is included for "
-                 "the structural comparison only (see EXPERIMENTS.md).\n";
+                 "the structural comparison only.\n";
     return 0;
 }

@@ -97,7 +97,6 @@ int main() {
         << "\npaper: static band+set3 -> 51% savings at 9.2% error; with VFS "
            "up to 82%; dynamic limits distortion at ~10% energy overhead\n"
         << "measured columns: whole-pipeline savings and the FFT-block view "
-           "(the paper's approximations target the FFT subsystem; see "
-           "EXPERIMENTS.md for the accounting discussion)\n";
+           "(the paper's approximations target the FFT subsystem)\n";
     return 0;
 }

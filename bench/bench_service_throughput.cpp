@@ -208,8 +208,8 @@ std::vector<core::psa_config> mode_mix() {
     };
 }
 
-/// The scheduler A/B cohort: the standard mix plus the recursive binary
-/// trees, whose multi-level lane walk only the new drain path batches --
+/// The scheduler cohort: the standard mix plus the recursive binary
+/// trees, which the drain batches through the multi-level lane walk --
 /// ten engine kinds, so engine-pure unit cutting and fleet-wide lane
 /// aggregation are both load-bearing.
 std::vector<core::psa_config> scheduler_mix() {
@@ -230,6 +230,65 @@ std::vector<core::window_report> serial_reports(const physio::rr_record& rec,
     std::vector<core::window_report> out;
     while (auto rep = mon.poll()) out.push_back(*rep);
     return out;
+}
+
+double process_cpu_ms() {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    const auto tv_ms = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) * 1000.0 +
+               static_cast<double>(tv.tv_usec) / 1000.0;
+    };
+    return tv_ms(u.ru_utime) + tv_ms(u.ru_stime);
+}
+
+/// Arm means of an in-process A/B on process CPU time (user + sys, all
+/// threads), taken from the quietest ABBA group.
+struct abba_cpu {
+    double a_ms = 0.0;
+    double b_ms = 0.0;
+};
+
+/// How an ABBA group's quietness is judged: across all four passes when
+/// the arms do nearly the same work, else on each arm's own repeatability
+/// (arms that differ by design).
+enum class abba_quiet { across_arms, within_arms };
+
+/// The A/B protocol every CPU-time gate of this bench uses.  Each arm is
+/// deterministic in its results, so timing differences are noise -- a
+/// shared CI runner drifts by ~10% over the seconds a pass takes
+/// (whichever arm ran second in a plain pair measured ~5% slower with a
+/// *no-op* journal writer).  CPU time is immune to scheduler/steal noise
+/// but not to memory-stall noise from neighbour tenants; in a quiet
+/// window the passes agree to ~1%, so the group with the smallest
+/// spread is the measurement taken when the machine was actually still.
+/// Groups (a, b, b, a) are sampled -- at least three, at most twelve --
+/// until one lands in a window quiet enough that its passes agree to
+/// ~1%.  `run_a` / `run_b` run one pass of their arm and return its
+/// process CPU milliseconds.
+template <typename RunA, typename RunB>
+abba_cpu abba_quietest(RunA&& run_a, RunB&& run_b, abba_quiet quiet) {
+    abba_cpu best;
+    double best_spread = std::numeric_limits<double>::infinity();
+    const auto ratio = [](double x, double y) {
+        return std::max(x, y) / std::min(x, y);
+    };
+    for (int rep = 0; rep < 12 && !(rep >= 3 && best_spread <= 1.01);
+         ++rep) {
+        const double a1 = run_a();
+        const double b1 = run_b();
+        const double b2 = run_b();
+        const double a2 = run_a();
+        const double spread =
+            quiet == abba_quiet::across_arms
+                ? std::max({a1, b1, b2, a2}) / std::min({a1, b1, b2, a2})
+                : std::max(ratio(a1, a2), ratio(b1, b2));
+        if (spread < best_spread) {
+            best_spread = spread;
+            best = {(a1 + a2) / 2.0, (b1 + b2) / 2.0};
+        }
+    }
+    return best;
 }
 
 fleet_result run_fleet(unsigned n_patients, real record_seconds) {
@@ -383,18 +442,17 @@ fleet_result run_fleet(unsigned n_patients, real record_seconds) {
 
 // ------------------------------------------------------ hop-cache A/B
 
-/// Hop-cache scenario: the hop-aligned engine mix run twice over the
-/// identical cohort -- once with the per-session hop cache reusing the
-/// 50 %-overlap sub-results, once with it disabled at runtime -- and the
-/// two report streams compared bit for bit.  CI gates on `identical` and
-/// on the cache buying >= +10 % windows/s at the 512-patient scale.
+/// Hop-cache scenario: the hop-aligned engine mix run over the identical
+/// cohort with the per-session hop cache reusing the 50 %-overlap
+/// sub-results and with it disabled at runtime, the two report streams
+/// compared bit for bit.  CI gates on `identical` and on the cache
+/// buying >= 1.10x CPU time at the 512-patient scale.
 struct hopcache_result {
     unsigned patients = 0;
     std::uint64_t windows = 0;
-    double wall_ms_on = 0.0;
-    double wall_ms_off = 0.0;
-    double windows_per_s_on = 0.0;
-    double windows_per_s_off = 0.0;
+    double cpu_ms_on = 0.0;
+    double cpu_ms_off = 0.0;
+    /// cache-off / cache-on process CPU time (ABBA quietest group).
     double speedup = 1.0;
     std::uint64_t hop_hits = 0;
     std::uint64_t hop_misses = 0;
@@ -436,7 +494,7 @@ std::vector<core::psa_config> hopcache_mix() {
 }
 
 struct hopcache_pass {
-    double wall_ms = std::numeric_limits<double>::infinity();
+    double cpu_ms = 0.0;
     service::fleet_snapshot fleet;
     std::vector<std::vector<core::window_report>> reports;
     double allocs_per_window = 0.0;
@@ -454,7 +512,7 @@ hopcache_pass hopcache_run(const std::vector<physio::rr_record>& records,
     service::plan_cache cache;
     service::session_manager mgr(opt, &cache);
 
-    const auto t0 = clock_type::now();
+    const double cpu0 = process_cpu_ms();
     for (unsigned i = 0; i < n_patients; ++i) {
         service::session_config cfg;
         cfg.patient_id = "hop-" + std::to_string(i);
@@ -508,13 +566,9 @@ hopcache_pass hopcache_run(const std::vector<physio::rr_record>& records,
     mgr.drain_all();
     const std::uint64_t allocs1 = heap_allocs();
     const std::uint64_t windows1 = fleet_windows();
-    const auto t1 = clock_type::now();
 
     hopcache_pass p;
-    p.wall_ms =
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-            t1 - t0)
-            .count();
+    p.cpu_ms = process_cpu_ms() - cpu0;
     p.measured_windows = windows1 - windows0;
     p.allocs_per_window =
         p.measured_windows > 0
@@ -541,46 +595,42 @@ hopcache_result run_hopcache_fleet(unsigned n_patients, real record_seconds) {
             physio::make_patient(group, i % 64), record_seconds));
     }
 
-    // Alternating best-of-3 per arm: both arms are deterministic in their
-    // results, so wall-time differences are scheduler noise and the
-    // minimum of each arm is the honest throughput estimate.
-    hopcache_pass best_on, best_off;
-    for (int rep = 0; rep < 3; ++rep) {
-        auto on = hopcache_run(records, configs, true);
-        auto off = hopcache_run(records, configs, false);
-        if (on.wall_ms < best_on.wall_ms) best_on = std::move(on);
-        if (off.wall_ms < best_off.wall_ms) best_off = std::move(off);
-    }
+    // The first pass of each arm is kept for the identity bar below.
+    hopcache_pass first_on, first_off;
+    const auto arm = [&](bool cache_on, hopcache_pass& first) {
+        hopcache_pass p = hopcache_run(records, configs, cache_on);
+        const double cpu = p.cpu_ms;
+        if (first.reports.empty()) first = std::move(p);
+        return cpu;
+    };
+    const abba_cpu cpu =
+        abba_quietest([&] { return arm(false, first_off); },
+                      [&] { return arm(true, first_on); },
+                      abba_quiet::within_arms);
     lomb::set_hop_cache_enabled(true);
 
     hopcache_result r;
     r.patients = n_patients;
-    r.windows = best_on.fleet.windows;
-    r.wall_ms_on = best_on.wall_ms;
-    r.wall_ms_off = best_off.wall_ms;
-    r.windows_per_s_on =
-        static_cast<double>(best_on.fleet.windows) / (r.wall_ms_on / 1000.0);
-    r.windows_per_s_off =
-        static_cast<double>(best_off.fleet.windows) / (r.wall_ms_off / 1000.0);
-    r.speedup = r.windows_per_s_off > 0.0
-                    ? r.windows_per_s_on / r.windows_per_s_off
-                    : 1.0;
-    r.hop_hits = best_on.fleet.hop_hits;
-    r.hop_misses = best_on.fleet.hop_misses;
-    r.hop_bytes = best_on.fleet.hop_bytes;
+    r.windows = first_on.fleet.windows;
+    r.cpu_ms_off = cpu.a_ms;
+    r.cpu_ms_on = cpu.b_ms;
+    r.speedup = r.cpu_ms_on > 0.0 ? r.cpu_ms_off / r.cpu_ms_on : 1.0;
+    r.hop_hits = first_on.fleet.hop_hits;
+    r.hop_misses = first_on.fleet.hop_misses;
+    r.hop_bytes = first_on.fleet.hop_bytes;
     const std::uint64_t lookups = r.hop_hits + r.hop_misses;
     r.hit_rate = lookups > 0 ? static_cast<double>(r.hop_hits) /
                                    static_cast<double>(lookups)
                              : 0.0;
-    r.allocs_per_window = best_on.allocs_per_window;
-    r.measured_windows = best_on.measured_windows;
+    r.allocs_per_window = first_on.allocs_per_window;
+    r.measured_windows = first_on.measured_windows;
 
     // Identity bar (untimed): the cached arm's report streams -- spectra,
     // diagnoses and op tallies alike -- equal the scratch arm's bit for
     // bit, and the disabled arm never touched the cache.
-    r.identical = best_on.reports == best_off.reports &&
-                  best_off.fleet.hop_hits == 0 &&
-                  best_off.fleet.hop_misses == 0 && r.hop_hits > 0;
+    r.identical = first_on.reports == first_off.reports &&
+                  first_off.fleet.hop_hits == 0 &&
+                  first_off.fleet.hop_misses == 0 && r.hop_hits > 0;
     return r;
 }
 
@@ -924,16 +974,6 @@ struct journal_pass_times {
     double stream_cpu_ms = 0.0;
 };
 
-double process_cpu_ms() {
-    rusage u{};
-    getrusage(RUSAGE_SELF, &u);
-    const auto tv_ms = [](const timeval& tv) {
-        return static_cast<double>(tv.tv_sec) * 1000.0 +
-               static_cast<double>(tv.tv_usec) / 1000.0;
-    };
-    return tv_ms(u.ru_utime) + tv_ms(u.ru_stime);
-}
-
 /// One streaming pass of the cohort through a 2-shard router; journals to
 /// `dir` when non-empty.  Returns the phase timings and the post-close
 /// snapshot.
@@ -1000,45 +1040,29 @@ journal_bench_result run_journaled_fleet(const shard_cohort& cohort) {
     journal_bench_result r;
     r.patients = static_cast<unsigned>(cohort.records.size());
 
-    // Six ABBA groups (plain, journaled, journaled, plain), ratio taken
-    // on process CPU time from the *quietest* group.  Both arms are
-    // deterministic in their results, so timing differences are noise --
-    // a shared CI runner drifts by ~10% over the seconds a pass takes
-    // (whichever arm ran second in a plain pair measured ~5% slower with
-    // a *no-op* writer, more than the journaling cost itself).  The fleet
-    // saturates every core, so real overhead shows up 1:1 in CPU time,
-    // which scheduler/steal noise cannot inflate -- but memory-stall
-    // noise from neighbor tenants still can.  In a quiet window all four
-    // passes agree to ~1%, so the group with the smallest internal
-    // spread is the measurement taken when the machine was actually
-    // still; its ratio is the honest estimate of the true overhead.
-    // Adaptive: groups are sampled (at least three, at most twelve) until
-    // one lands in a window quiet enough that all four passes agree to
-    // ~1% -- there the ratio is within ~1% of the truth, which is what
-    // lets a >= 0.95 gate separate a real 5% regression from noise.
+    // ABBA groups (plain, journaled, journaled, plain) on process CPU
+    // time: the fleet saturates every core, so real journaling overhead
+    // shows up 1:1 there.  The arms do the same analysis, so quietness
+    // is judged across all four passes -- in the quietest group the ratio
+    // is within ~1% of the truth, which is what lets a >= 0.95 gate
+    // separate a real 5% regression from noise.
     service::fleet_snapshot unjournaled, live;
     double plain_ms = std::numeric_limits<double>::infinity();
     r.wall_ms = std::numeric_limits<double>::infinity();
-    double best_spread = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 12 && !(rep >= 3 && best_spread <= 1.01);
-         ++rep) {
-        const auto p1 = journal_pass(cohort, "", unjournaled);
-        const auto j1 = journal_pass(cohort, dir.string(), live);
-        const auto j2 = journal_pass(cohort, dir.string(), live);
-        const auto p2 = journal_pass(cohort, "", unjournaled);
-        const std::array<double, 4> cpu = {p1.stream_cpu_ms, j1.stream_cpu_ms,
-                                           j2.stream_cpu_ms, p2.stream_cpu_ms};
-        const auto [mn, mx] = std::minmax_element(cpu.begin(), cpu.end());
-        const double spread = *mx / *mn;
-        if (spread < best_spread) {
-            best_spread = spread;
-            r.throughput_ratio = (p1.stream_cpu_ms + p2.stream_cpu_ms) /
-                                 (j1.stream_cpu_ms + j2.stream_cpu_ms);
-        }
-        plain_ms = std::min({plain_ms, p1.stream_ms, p2.stream_ms});
-        r.wall_ms = std::min({r.wall_ms, j1.stream_ms, j2.stream_ms});
-        r.close_ms = j2.close_ms;
-    }
+    const abba_cpu cpu = abba_quietest(
+        [&] {
+            const auto p = journal_pass(cohort, "", unjournaled);
+            plain_ms = std::min(plain_ms, p.stream_ms);
+            return p.stream_cpu_ms;
+        },
+        [&] {
+            const auto j = journal_pass(cohort, dir.string(), live);
+            r.wall_ms = std::min(r.wall_ms, j.stream_ms);
+            r.close_ms = j.close_ms;
+            return j.stream_cpu_ms;
+        },
+        abba_quiet::across_arms);
+    r.throughput_ratio = cpu.a_ms / cpu.b_ms;
     r.unjournaled_windows_per_s =
         static_cast<double>(unjournaled.windows) / (plain_ms / 1000.0);
     r.windows = live.windows;
@@ -1080,34 +1104,32 @@ journal_bench_result run_journaled_fleet(const shard_cohort& cohort) {
     return r;
 }
 
-// ---------------------------------------------------- scheduler A/B
+// ------------------------------------------- scheduler vs serial reference
 
-/// In-process A/B of the drain scheduler: the pre-PR path (fixed
-/// 16-session slices, no stealing, multi-level lane walk off) against the
-/// shipped defaults (adaptive engine-pure units, work-stealing deques,
-/// recursive-tree lane batching).  Same cohort, same beat schedule; the
-/// ratio is taken on process CPU time with the journal bench's ABBA
-/// quietest-group discipline, and the two report streams are compared
-/// bit for bit -- the scheduler may only change *when* windows run, never
-/// what they compute.
+/// The fleet drain against the serial reference: the same cohort through
+/// a one-worker session_manager (engine-pure units, staged lockstep
+/// drain, fleet-wide SIMD lane aggregation) and through one
+/// streaming_monitor per patient (serial_reports).  Both arms run on one
+/// thread, so their process-CPU ratio (ABBA quietest group) is what the
+/// drain buys over window-at-a-time analysis; the report streams are
+/// compared bit for bit -- the drain may only change *when* windows run,
+/// never what they compute.
 struct scheduler_result {
     unsigned patients = 0;
     std::uint64_t windows = 0;
-    double cpu_ms_old = 0.0;
-    double cpu_ms_new = 0.0;
-    /// old / new CPU time (CI gates >= 1.10 at the 512-patient scale).
-    double speedup = 1.0;
+    double cpu_ms_serial = 0.0;
+    double cpu_ms_fleet = 0.0;
+    /// serial / fleet CPU time at one worker (CI gates >= 1.50).
+    double speedup_vs_serial = 1.0;
     std::uint64_t lane_slots_filled = 0;
     std::uint64_t lane_slots_offered = 0;
-    /// filled / offered on the new path (CI gates against the committed
-    /// baseline; deterministic for a given cohort and beat schedule).
+    /// filled / offered (CI gates against the committed baseline;
+    /// deterministic for a given cohort and beat schedule).
     double lane_fill = 0.0;
-    /// Schedule-dependent steal tally from the new path (0 on a
-    /// single-worker pool; reported, never gated).
-    std::uint64_t windows_stolen = 0;
     double allocs_per_window = 0.0;
     std::uint64_t measured_windows = 0;
-    /// Report streams of the two arms bit-identical (bands + op tallies).
+    /// Fleet report streams bit-identical to the serial references
+    /// (bands + op tallies).
     bool identical = true;
 };
 
@@ -1118,21 +1140,17 @@ struct scheduler_pass_out {
     std::uint64_t measured_windows = 0;
 };
 
-/// One streaming pass of the cohort through a session_manager configured
-/// for either arm.  Collects per-session report streams into `reports`
-/// when non-null (after the timed region; both arms pay equally anyway).
+/// One streaming pass of the cohort through a one-worker
+/// session_manager.  Collects per-session report streams into `reports`
+/// when non-null (after the timed region).
 scheduler_pass_out scheduler_pass(
     const std::vector<physio::rr_record>& records,
-    const std::vector<core::psa_config>& configs, bool new_path,
+    const std::vector<core::psa_config>& configs,
     std::vector<std::vector<core::window_report>>* reports) {
     const auto n_patients = static_cast<unsigned>(records.size());
-    wfft::set_recursive_lane_batching(new_path);
     service::service_options opt;
+    opt.threads = 1;
     opt.vfs_deadline_s = paper_monitor().hop_seconds;
-    if (!new_path) {
-        opt.scheduler.batch_size = 16;  // pre-PR fixed slice width
-        opt.scheduler.steal = false;
-    }
     service::plan_cache cache;
     service::session_manager mgr(opt, &cache);
 
@@ -1202,11 +1220,25 @@ scheduler_pass_out scheduler_pass(
             reports->emplace_back(got.begin(), got.end());
         }
     }
-    wfft::set_recursive_lane_batching(true);
     return out;
 }
 
-scheduler_result run_scheduler_ab(unsigned n_patients, real record_seconds) {
+/// The serial arm: every record through its own streaming_monitor on
+/// the calling thread.  Returns process CPU milliseconds; collects the
+/// report streams into `reports` when non-null.
+double serial_pass(const std::vector<physio::rr_record>& records,
+                   const std::vector<core::psa_config>& configs,
+                   std::vector<std::vector<core::window_report>>* reports) {
+    const double cpu0 = process_cpu_ms();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        auto got = serial_reports(records[i], configs[i % configs.size()]);
+        if (reports != nullptr) reports->push_back(std::move(got));
+    }
+    return process_cpu_ms() - cpu0;
+}
+
+scheduler_result run_scheduler_vs_serial(unsigned n_patients,
+                                         real record_seconds) {
     scheduler_result r;
     r.patients = n_patients;
 
@@ -1223,9 +1255,9 @@ scheduler_result run_scheduler_ab(unsigned n_patients, real record_seconds) {
     // Identity bar first (untimed): one pass per arm, report streams
     // compared bit for bit.  Bands and op tallies together pin both the
     // float arithmetic and the pruning decisions.
-    std::vector<std::vector<core::window_report>> got_old, got_new;
-    scheduler_pass(records, configs, false, &got_old);
-    const auto probe = scheduler_pass(records, configs, true, &got_new);
+    std::vector<std::vector<core::window_report>> want, got;
+    serial_pass(records, configs, &want);
+    const auto probe = scheduler_pass(records, configs, &got);
     r.windows = probe.snap.windows;
     r.lane_slots_filled = probe.snap.lane_slots_filled;
     r.lane_slots_offered = probe.snap.lane_slots_offered;
@@ -1233,13 +1265,12 @@ scheduler_result run_scheduler_ab(unsigned n_patients, real record_seconds) {
                       ? static_cast<double>(probe.snap.lane_slots_filled) /
                             static_cast<double>(probe.snap.lane_slots_offered)
                       : 0.0;
-    r.windows_stolen = probe.snap.windows_stolen;
     r.allocs_per_window = probe.allocs_per_window;
     r.measured_windows = probe.measured_windows;
-    r.identical = got_old.size() == got_new.size();
-    for (std::size_t i = 0; r.identical && i < got_old.size(); ++i) {
-        const auto& a = got_old[i];
-        const auto& b = got_new[i];
+    r.identical = want.size() == got.size();
+    for (std::size_t i = 0; r.identical && i < want.size(); ++i) {
+        const auto& a = want[i];
+        const auto& b = got[i];
         if (a.size() != b.size()) {
             r.identical = false;
             break;
@@ -1252,29 +1283,16 @@ scheduler_result run_scheduler_ab(unsigned n_patients, real record_seconds) {
                 r.identical = false;
     }
 
-    // CPU-time ratio with the journal bench's ABBA quietest-group
-    // discipline (see run_journaled_fleet) -- except the two arms differ
-    // by design here, so "quiet" is judged on each arm's *internal*
-    // repeatability, not across arms.
-    double best_spread = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 12 && !(rep >= 3 && best_spread <= 1.01);
-         ++rep) {
-        const auto a1 = scheduler_pass(records, configs, false, nullptr);
-        const auto b1 = scheduler_pass(records, configs, true, nullptr);
-        const auto b2 = scheduler_pass(records, configs, true, nullptr);
-        const auto a2 = scheduler_pass(records, configs, false, nullptr);
-        const double spread_a = std::max(a1.cpu_ms, a2.cpu_ms) /
-                                std::min(a1.cpu_ms, a2.cpu_ms);
-        const double spread_b = std::max(b1.cpu_ms, b2.cpu_ms) /
-                                std::min(b1.cpu_ms, b2.cpu_ms);
-        const double spread = std::max(spread_a, spread_b);
-        if (spread < best_spread) {
-            best_spread = spread;
-            r.cpu_ms_old = (a1.cpu_ms + a2.cpu_ms) / 2.0;
-            r.cpu_ms_new = (b1.cpu_ms + b2.cpu_ms) / 2.0;
-            r.speedup = r.cpu_ms_new > 0.0 ? r.cpu_ms_old / r.cpu_ms_new : 1.0;
-        }
-    }
+    // The arms differ by design, so quietness is judged on each arm's
+    // own repeatability.
+    const abba_cpu cpu = abba_quietest(
+        [&] { return serial_pass(records, configs, nullptr); },
+        [&] { return scheduler_pass(records, configs, nullptr).cpu_ms; },
+        abba_quiet::within_arms);
+    r.cpu_ms_serial = cpu.a_ms;
+    r.cpu_ms_fleet = cpu.b_ms;
+    r.speedup_vs_serial =
+        r.cpu_ms_fleet > 0.0 ? r.cpu_ms_serial / r.cpu_ms_fleet : 1.0;
     return r;
 }
 
@@ -1871,9 +1889,9 @@ int main() {
     // window of a session is always a compulsory rebuild), so the A/B
     // needs enough hops per session for the warm windows to dominate.
     const auto hc = run_hopcache_fleet(512, record_seconds * 3);
-    std::cout << "windows/s: " << util::table::fmt(hc.windows_per_s_off, 1)
-              << " scratch -> " << util::table::fmt(hc.windows_per_s_on, 1)
-              << " cached (" << util::table::fmt(hc.speedup, 2)
+    std::cout << "cpu time: " << util::table::fmt(hc.cpu_ms_off, 1)
+              << " ms scratch -> " << util::table::fmt(hc.cpu_ms_on, 1)
+              << " ms cached (" << util::table::fmt(hc.speedup, 2)
               << "x), allocs/window "
               << util::table::fmt(hc.allocs_per_window, 3) << "\n"
               << "cache: " << hc.hop_hits << " hits / " << hc.hop_misses
@@ -1976,26 +1994,25 @@ int main() {
     all_identical =
         all_identical && jr.rebuild_identical && jr.replay_identical;
 
-    // Drain-scheduler A/B: pre-PR fixed slices vs fleet-wide lane
-    // aggregation + work stealing, on the mix extended with the
-    // recursive binary trees the new path lane-batches.
+    // Drain scheduler vs the serial reference, both on one worker, on
+    // the mix extended with the recursive binary trees the drain
+    // lane-batches.
     util::print_section(std::cout,
-                        "Drain scheduler -- fleet-wide lane aggregation + "
-                        "work stealing vs fixed slices (512 patients)");
-    const auto sched = run_scheduler_ab(512, record_seconds);
-    std::cout << "cpu time: " << util::table::fmt(sched.cpu_ms_old, 1)
-              << " ms fixed-slice -> " << util::table::fmt(sched.cpu_ms_new, 1)
-              << " ms aggregated+stealing ("
-              << util::table::fmt(sched.speedup, 2) << "x)\n"
+                        "Drain scheduler -- one-worker fleet drain vs serial "
+                        "streaming_monitor reference (512 patients)");
+    const auto sched = run_scheduler_vs_serial(512, record_seconds);
+    std::cout << "cpu time: " << util::table::fmt(sched.cpu_ms_serial, 1)
+              << " ms serial -> " << util::table::fmt(sched.cpu_ms_fleet, 1)
+              << " ms fleet drain ("
+              << util::table::fmt(sched.speedup_vs_serial, 2) << "x)\n"
               << "lane fill: " << sched.lane_slots_filled << " / "
               << sched.lane_slots_offered << " slots ("
               << util::table::fmt_pct(sched.lane_fill)
-              << "), windows stolen: " << sched.windows_stolen
-              << ", allocs/window "
+              << "), allocs/window "
               << util::table::fmt(sched.allocs_per_window, 3) << "\n"
-              << "verification: report streams "
+              << "verification: fleet report streams "
               << (sched.identical ? "bit-identical" : "MISMATCH")
-              << " between the two scheduler arms\n";
+              << " vs the serial references\n";
     all_identical = all_identical && sched.identical;
 
     // Vendor-FFT A/B (opt-in CI job; a row records absence otherwise).
@@ -2108,10 +2125,8 @@ int main() {
     }
     json << "  ],\n  \"hopcache\": {\"patients\": " << hc.patients
          << ", \"windows\": " << hc.windows
-         << ", \"wall_ms_on\": " << hc.wall_ms_on
-         << ", \"wall_ms_off\": " << hc.wall_ms_off
-         << ", \"windows_per_s_on\": " << hc.windows_per_s_on
-         << ", \"windows_per_s_off\": " << hc.windows_per_s_off
+         << ", \"cpu_ms_on\": " << hc.cpu_ms_on
+         << ", \"cpu_ms_off\": " << hc.cpu_ms_off
          << ", \"speedup\": " << hc.speedup
          << ", \"hop_hits\": " << hc.hop_hits
          << ", \"hop_misses\": " << hc.hop_misses
@@ -2139,13 +2154,12 @@ int main() {
          << (jr.replay_identical ? "true" : "false") << "},\n";
     json << "  \"scheduler\": {\"patients\": " << sched.patients
          << ", \"windows\": " << sched.windows
-         << ", \"cpu_ms_old\": " << sched.cpu_ms_old
-         << ", \"cpu_ms_new\": " << sched.cpu_ms_new
-         << ", \"speedup\": " << sched.speedup
+         << ", \"cpu_ms_serial\": " << sched.cpu_ms_serial
+         << ", \"cpu_ms_fleet\": " << sched.cpu_ms_fleet
+         << ", \"speedup_vs_serial\": " << sched.speedup_vs_serial
          << ", \"lane_slots_filled\": " << sched.lane_slots_filled
          << ", \"lane_slots_offered\": " << sched.lane_slots_offered
          << ", \"lane_fill\": " << sched.lane_fill
-         << ", \"windows_stolen\": " << sched.windows_stolen
          << ", \"allocs_per_window\": " << sched.allocs_per_window
          << ", \"measured_windows\": " << sched.measured_windows
          << ", \"identical\": " << (sched.identical ? "true" : "false")

@@ -80,8 +80,8 @@ public:
     /// Analyze several windows of THIS system in one pass, interleaving
     /// their mesh FFTs one per SIMD lane when the engine supports it.
     /// Each job's result is bit-identical to analyze_window on the same
-    /// window; jobs failing their data contracts get ok = false (the
-    /// sequential path would have thrown).
+    /// window; jobs failing their data contracts get ok = false (where
+    /// analyze_window throws).
     void analyze_window_batched(std::span<lomb::window_job> jobs,
                                 lomb::workspace& ws) const;
 

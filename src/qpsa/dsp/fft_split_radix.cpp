@@ -101,7 +101,7 @@ void fft_split_radix::forward_batched(std::span<const cplx* const> ins,
     const simd::kernel_table& kt = simd::kernels();
     const std::size_t w = kt.lanes;
     std::size_t i = 0;
-    if (w >= 2) {
+    if (w >= 2 && ins.size() >= 2) {
         util::arena::frame frame(scratch);
         std::span<real> xre = scratch.alloc<real>(n_ * w);
         std::span<real> xim = scratch.alloc<real>(n_ * w);

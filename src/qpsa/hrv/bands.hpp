@@ -5,6 +5,8 @@
 //                   reports a "Total ULFP" next to LFP/HFP -- here ULF
 //                   covers everything below the VLF edge of the grid),
 //   VLF 0.003-0.04 Hz, LF 0.04-0.15 Hz, HF 0.15-0.4 Hz.
+// HF ends at 0.40 Hz, not at the 0.5 Hz some HRV toolkits use: power above
+// 0.40 Hz counts toward the total only.
 // The detection metric is the LFP/HFP ratio: "a ratio of LFP over HFP
 // much less than 1 indicates a sinus arrhythmia condition".
 #pragma once

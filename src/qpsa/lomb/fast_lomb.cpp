@@ -33,10 +33,10 @@ std::size_t fast_lomb_nout(std::size_t n_samples, const fast_lomb_options& opt) 
 
 namespace {
 
-// The pipeline below is split into phase helpers shared by the sequential
-// and the batched entry points, so both execute the identical arithmetic
-// (the batched path reorders only the engine forwards, which are
-// lane-exact by the kernel contract).
+// The pipeline below is split into phase helpers driven by one walk
+// (lomb_walk) that both entry points run: a single window is the one-job
+// case of the batched walk, which reorders only the engine forwards --
+// lane-exact by the kernel contract.
 
 /// Window-level facts established by the contract checks + moment pass.
 struct window_prep {
@@ -427,6 +427,129 @@ void lomb_combine(bool packed, std::span<const cplx> zfft,
     }
 }
 
+/// Per-window state the walk carries from the mesh phase to the combine.
+struct job_state {
+    window_prep prep;
+    std::size_t n_eff = 0;
+    std::span<cplx> zfft;   ///< packed_single result
+    std::span<cplx> z1fft;  ///< two_transforms results
+    std::span<cplx> z2fft;
+    counting::op_counts fft_pre;  ///< fft_stats.ops before the transforms
+};
+
+/// The Fast-Lomb walk over `jobs`, in four phases: (1) moments and mesh
+/// into transform items, (2) one transform phase, (3) fft attribution,
+/// (4) the Lomb combine.  Several jobs share a walk only on engines that
+/// interleave transforms: phase 2 then runs every job's mesh transforms
+/// through one lane-batched forward, whose engine attributes the ops to
+/// each item's stats sink, and phase 3 moves that tally into the
+/// window's fft phase.  A walk of one job runs phase 2 under the job's
+/// fft scope instead -- whole-window estimators and width-1 engines
+/// always walk one job at a time.  `states` holds one entry and `items`
+/// two per job.  With `rethrow` (the single-window entry) a contract
+/// violation propagates; otherwise the job is marked !ok and skipped.
+void lomb_walk(std::span<window_job> jobs, std::span<job_state> states,
+               std::span<fft_engine::batch_item> items,
+               const fft_engine& engine, const fast_lomb_options& opt,
+               util::arena& mem, bool rethrow) {
+    const bool whole = engine.whole_window();
+    const bool shared = jobs.size() > 1;
+    QPSA_EXPECTS(!shared || (!whole && engine.batch_width() >= 2));
+    const bool packed = opt.packing == fft_packing::packed_single;
+    util::arena::frame frame(mem);
+    std::size_t n_items = 0;
+
+    // Phase 1, per window: moments, mesh redistribution, input packing.
+    // Whole-window estimators consume the raw window and produce the
+    // periodogram on the same grid directly; the mesh stages are
+    // exclusive to forward()-style FFT engines.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        window_job& job = jobs[i];
+        QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
+        job_state& st = states[i];
+        try {
+            st.prep = window_moments(job.t, job.x, engine, opt, *job.bd);
+            if (!whole) {
+                const std::size_t mesh = st.prep.mesh;
+                std::span<real> wk1 = mem.alloc<real>(mesh);
+                std::span<real> wk2 = mem.alloc<real>(mesh);
+                st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx,
+                                       mem, *job.bd, wk1, wk2);
+                counting::count_scope scope(job.bd->fft);
+                if (packed) {
+                    st.zfft = mem.alloc<cplx>(mesh);
+                    std::span<cplx> z = mem.alloc<cplx>(mesh);
+                    dsp::pack_real_pair(wk1, wk2, z);
+                    items[n_items++] = {z, st.zfft, &job.bd->fft_stats};
+                } else {
+                    st.z1fft = mem.alloc<cplx>(mesh);
+                    st.z2fft = mem.alloc<cplx>(mesh);
+                    std::span<cplx> za = mem.alloc<cplx>(mesh);
+                    std::span<cplx> zb = mem.alloc<cplx>(mesh);
+                    simd::kernels().widen_real(wk1.data(), za.data(), mesh);
+                    simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
+                    items[n_items++] = {za, st.z1fft, &job.bd->fft_stats};
+                    items[n_items++] = {zb, st.z2fft, &job.bd->fft_stats};
+                }
+                st.fft_pre = job.bd->fft_stats.ops;
+            }
+            job.ok = true;
+        } catch (const contract_error&) {
+            if (rethrow) throw;
+            job.ok = false;
+        }
+    }
+
+    // Phase 2: the transforms.  The engine counts into each item's stats
+    // sink, and nested count scopes propagate outward, so a lone job's
+    // bd.fft receives the same operations its scope sees.
+    const auto batch = items.first(n_items);
+    if (shared) {
+        engine.forward_batched(batch, mem);
+    } else if (jobs[0].ok) {
+        window_job& job = jobs[0];
+        try {
+            counting::count_scope scope(job.bd->fft);
+            if (whole) {
+                const window_prep& prep = states[0].prep;
+                engine.estimate(job.t, job.x,
+                                {1.0 / (prep.span * opt.ofac), prep.nout},
+                                &job.bd->fft_stats, mem, job.out->spectrum,
+                                job.ctx);
+                QPSA_ENSURES(job.out->spectrum.power.size() == prep.nout);
+            } else {
+                engine.forward_batched(batch, mem);
+            }
+        } catch (const contract_error&) {
+            if (rethrow) throw;
+            job.ok = false;
+        }
+    }
+
+    // Phases 3 + 4, per window.  A shared walk counted only into the
+    // items' stats sinks (the engine is the sole counter there), so the
+    // fft_stats delta IS the window's fft contribution.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        window_job& job = jobs[i];
+        if (!job.ok) continue;
+        const job_state& st = states[i];
+        if (shared) job.bd->fft += job.bd->fft_stats.ops - st.fft_pre;
+        job.out->n_samples = job.t.size();
+        job.out->mesh_span = st.prep.span;
+        if (!whole)
+            lomb_combine(packed, st.zfft, st.z1fft, st.z2fft, st.prep,
+                         st.n_eff, opt, *job.out, *job.bd);
+    }
+}
+
+/// A walk of one job, its state on the stack.
+void walk_one(window_job& job, const fft_engine& engine,
+              const fast_lomb_options& opt, util::arena& mem, bool rethrow) {
+    job_state state;
+    fft_engine::batch_item items[2];
+    lomb_walk({&job, 1}, {&state, 1}, items, engine, opt, mem, rethrow);
+}
+
 }  // namespace
 
 lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
@@ -442,168 +565,27 @@ void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& res, lomb_breakdown* breakdown,
                const hop_ctx* ctx) {
-    const std::size_t n = t.size();
-
     lomb_breakdown local;
-    lomb_breakdown& bd = breakdown ? *breakdown : local;
-
-    util::arena& mem = ws.scratch();
-    util::arena::frame frame(mem);
-
-    const window_prep prep = window_moments(t, x, engine, opt, bd);
-    const std::size_t mesh = prep.mesh;
-
-    // --- whole-window estimators (AR, direct Lomb, resampled) -------------
-    // These engines consume the raw window and produce the normalized
-    // periodogram on the same grid directly; the mesh pipeline below is
-    // exclusive to forward()-style FFT engines.
-    if (engine.whole_window()) {
-        res.n_samples = n;
-        res.mesh_span = prep.span;
-        counting::count_scope scope(bd.fft);
-        engine.estimate(t, x, {1.0 / (prep.span * opt.ofac), prep.nout},
-                        &bd.fft_stats, mem, res.spectrum, ctx);
-        QPSA_ENSURES(res.spectrum.power.size() == prep.nout);
-        return;
-    }
-
-    std::span<real> wk1 = mem.alloc<real>(mesh);
-    std::span<real> wk2 = mem.alloc<real>(mesh);
-    const std::size_t n_eff =
-        fill_meshes(t, x, prep, opt, ctx, mem, bd, wk1, wk2);
-
-    // --- transform the two meshes -----------------------------------------
-    // The engine counts into its stats sink, and nested count scopes
-    // propagate outward, so bd.fft receives the same operations.
-    std::span<cplx> zfft;   // packed_single result
-    std::span<cplx> z1fft;  // two_transforms results
-    std::span<cplx> z2fft;
-    const bool packed = opt.packing == fft_packing::packed_single;
-    {
-        counting::count_scope scope(bd.fft);
-        if (packed) {
-            zfft = mem.alloc<cplx>(mesh);
-            std::span<cplx> z = mem.alloc<cplx>(mesh);
-            dsp::pack_real_pair(wk1, wk2, z);
-            engine.forward(z, zfft, &bd.fft_stats, mem);
-        } else if (engine.batch_width() >= 2) {
-            // Same-plan pair: both mesh transforms ride one lane-batched
-            // walk (bit-identical per lane, attributed per transform).
-            z1fft = mem.alloc<cplx>(mesh);
-            z2fft = mem.alloc<cplx>(mesh);
-            std::span<cplx> za = mem.alloc<cplx>(mesh);
-            std::span<cplx> zb = mem.alloc<cplx>(mesh);
-            simd::kernels().widen_real(wk1.data(), za.data(), mesh);
-            simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
-            const fft_engine::batch_item items[2] = {
-                {za, z1fft, &bd.fft_stats}, {zb, z2fft, &bd.fft_stats}};
-            engine.forward_batched(items, mem);
-        } else {
-            z1fft = mem.alloc<cplx>(mesh);
-            z2fft = mem.alloc<cplx>(mesh);
-            std::span<cplx> z = mem.alloc<cplx>(mesh);
-            simd::kernels().widen_real(wk1.data(), z.data(), mesh);
-            engine.forward(z, z1fft, &bd.fft_stats, mem);
-            simd::kernels().widen_real(wk2.data(), z.data(), mesh);
-            engine.forward(z, z2fft, &bd.fft_stats, mem);
-        }
-    }
-
-    // --- Lomb calculator ---------------------------------------------------
-    res.n_samples = n;
-    res.mesh_span = prep.span;
-    lomb_combine(packed, zfft, z1fft, z2fft, prep, n_eff, opt, res, bd);
+    window_job job{t, x, &res, breakdown != nullptr ? breakdown : &local, ctx};
+    walk_one(job, engine, opt, ws.scratch(), true);
 }
 
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws) {
-    // No batching win (or nothing to batch): run the exact sequential
-    // path, converting per-window contract violations into ok = false.
+    // Windows share one walk only when the engine interleaves their
+    // transforms; otherwise each walks alone, so its scratch is released
+    // before the next window draws any.
     if (jobs.size() < 2 || engine.whole_window() || engine.batch_width() < 2) {
-        for (window_job& job : jobs) {
-            QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
-            try {
-                fast_lomb(job.t, job.x, engine, opt, ws, *job.out, job.bd,
-                          job.ctx);
-                job.ok = true;
-            } catch (const contract_error&) {
-                job.ok = false;
-            }
-        }
+        for (window_job& job : jobs)
+            walk_one(job, engine, opt, ws.scratch(), false);
         return;
     }
-
-    util::arena& mem = ws.scratch();
-    util::arena::frame frame(mem);
-
-    struct job_state {
-        window_prep prep;
-        std::size_t n_eff = 0;
-        std::span<cplx> zfft;
-        std::span<cplx> z1fft;
-        std::span<cplx> z2fft;
-        counting::op_counts fft_pre;
-    };
     // thread_local so steady-state batched drains stay allocation-free.
     thread_local std::vector<job_state> states;
     thread_local std::vector<fft_engine::batch_item> items;
-    states.clear();
     states.resize(jobs.size());
-    items.clear();
-
-    const bool packed = opt.packing == fft_packing::packed_single;
-
-    // Phase A: per-window moments + mesh redistribution + input packing.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        window_job& job = jobs[i];
-        QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
-        job_state& st = states[i];
-        try {
-            st.prep = window_moments(job.t, job.x, engine, opt, *job.bd);
-            const std::size_t mesh = st.prep.mesh;
-            std::span<real> wk1 = mem.alloc<real>(mesh);
-            std::span<real> wk2 = mem.alloc<real>(mesh);
-            st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx, mem,
-                                   *job.bd, wk1, wk2);
-            counting::count_scope scope(job.bd->fft);
-            if (packed) {
-                st.zfft = mem.alloc<cplx>(mesh);
-                std::span<cplx> z = mem.alloc<cplx>(mesh);
-                dsp::pack_real_pair(wk1, wk2, z);
-                items.push_back({z, st.zfft, &job.bd->fft_stats});
-            } else {
-                st.z1fft = mem.alloc<cplx>(mesh);
-                st.z2fft = mem.alloc<cplx>(mesh);
-                std::span<cplx> za = mem.alloc<cplx>(mesh);
-                std::span<cplx> zb = mem.alloc<cplx>(mesh);
-                simd::kernels().widen_real(wk1.data(), za.data(), mesh);
-                simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
-                items.push_back({za, st.z1fft, &job.bd->fft_stats});
-                items.push_back({zb, st.z2fft, &job.bd->fft_stats});
-            }
-            st.fft_pre = job.bd->fft_stats.ops;
-            job.ok = true;
-        } catch (const contract_error&) {
-            job.ok = false;
-        }
-    }
-
-    // Phase B: one lane-batched walk over every surviving transform.
-    engine.forward_batched(items, mem);
-
-    // Phase C+D: attribute the engine ops to each window's fft phase (the
-    // engine is the sole counter inside that scope, so the fft_stats delta
-    // IS the scalar bd.fft contribution), then combine.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        window_job& job = jobs[i];
-        if (!job.ok) continue;
-        const job_state& st = states[i];
-        job.bd->fft += job.bd->fft_stats.ops - st.fft_pre;
-        job.out->n_samples = job.t.size();
-        job.out->mesh_span = st.prep.span;
-        lomb_combine(packed, st.zfft, st.z1fft, st.z2fft, st.prep, st.n_eff,
-                     opt, *job.out, *job.bd);
-    }
+    items.resize(2 * jobs.size());
+    lomb_walk(jobs, states, items, engine, opt, ws.scratch(), false);
 }
 
 }  // namespace qpsa::lomb

@@ -110,8 +110,9 @@ lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
 /// Workspace-reusing variant: all mesh/FFT scratch is drawn from `ws` and
 /// the result is written into `out` (whose vectors keep their capacity
 /// across calls).  Bit-identical to the allocating overload -- it is the
-/// same arithmetic; only buffer provenance differs.  This is the
-/// steady-state-zero-allocation path the streaming service runs.
+/// same arithmetic; only buffer provenance differs.  Runs the one-job case
+/// of fast_lomb_batched's walk and throws contract_error where that walk
+/// would mark the job failed.
 void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& out,
@@ -135,9 +136,9 @@ struct window_job {
 
 /// Analyze several same-plan windows, interleaving their mesh FFTs one per
 /// SIMD lane through engine.forward_batched().  Every job's spectrum and
-/// per-phase op breakdown is bit-identical to a sequential fast_lomb call;
-/// engines without batching (batch_width() == 1, whole-window estimators)
-/// fall back to exactly that sequence.
+/// per-phase op breakdown is bit-identical to a fast_lomb call, which is
+/// the one-job case of the same walk; engines without batching
+/// (batch_width() == 1, whole-window estimators) walk one job at a time.
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws);
 

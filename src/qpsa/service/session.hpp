@@ -4,11 +4,11 @@
 // over shared cached engines), their simulated node battery and their QDES
 // governor (the paper's Fig. 2 loop, closed at run time).  Threading
 // contract: the ingest edge (one producer thread) calls ingest();
-// everything else -- drain(), mode changes, accessors below -- runs on at
-// most one scheduler worker at a time (the batch scheduler never assigns a
-// session to two tasks concurrently).  The quality/battery columns read by
-// fleet snapshots are atomics, so session_manager::fleet() may run
-// concurrently with a draining worker.
+// everything else -- the staged drain, mode changes, accessors below --
+// runs on at most one scheduler worker at a time (the batch scheduler
+// never assigns a session to two tasks concurrently).  The quality/battery
+// columns read by fleet snapshots are atomics, so session_manager::fleet()
+// may run concurrently with a draining worker.
 #pragma once
 
 #include <atomic>
@@ -31,7 +31,6 @@ class report_writer;
 
 namespace qpsa::service {
 
-class fleet_stats;
 class fleet_partial;
 
 /// Sentinel for session_config::journal_id: use the locally assigned
@@ -170,32 +169,29 @@ public:
     /// adopting manager together with the extracted state).
     const session_config& session_cfg() const noexcept { return cfg_; }
 
-    /// Consumer side: pop buffered beats into the monitor one at a time,
-    /// folding every completed window into `acc` (and the local report
-    /// log when keep_reports), draining the battery and running the
-    /// governor at each window boundary.  Returns windows completed.
-    std::size_t drain(fleet_partial& acc);
-
     // ---- staged drain (cross-session SIMD transform batching) --------
     //
-    // Incremental alternative to drain(): the scheduler pumps each
-    // session of a batch until it *stages* a cut window, groups staged
-    // windows by analysis system, runs each group through
-    // psa_system::analyze_window_batched (mesh FFTs interleaved one per
-    // SIMD lane), then finishes every staged window and pumps again.
-    // Per-session results -- reports, governor schedule, journal order,
-    // battery trace -- are bit-identical to drain(): beats are pushed in
-    // the same order, every window is analyzed before the next beat of
-    // its session lands, and windows are polled in completion order.
+    // Consumer side.  The scheduler pumps each session of a unit until it
+    // *stages* a cut window, groups staged windows by analysis system,
+    // runs each group through psa_system::analyze_window_batched (mesh
+    // FFTs interleaved one per SIMD lane), then finishes every staged
+    // window and pumps again.  Beats enter the monitor one at a time and
+    // every window is analyzed before the next beat of its session lands,
+    // so per-session results -- reports, governor schedule, journal
+    // order, battery trace -- are a pure function of the beat stream,
+    // bit-identical to a serial streaming_monitor run.
 
     enum class pump_status {
         staged,  ///< a window is cut and awaiting analysis
         idle,    ///< ring drained, nothing staged: this pass is done
     };
 
-    /// Pop beats until a window stages or the ring empties.  Resumes
+    /// Pop beats until a window stages or the ring empties, folding every
+    /// completed window into `acc` (and the local report log when
+    /// keep_reports), draining the battery and running the governor at
+    /// each window boundary; `completed` counts those windows.  Resumes
     /// report collection after previously finished windows.  Scheduler-
-    /// thread only, like drain().
+    /// thread only.
     pump_status pump_to_stage(fleet_partial& acc, std::size_t& completed);
 
     bool has_staged_window() const noexcept { return monitor_.has_staged(); }
@@ -215,10 +211,6 @@ public:
     }
     /// Complete the staged window with the job's post-analysis ok flag.
     void finish_staged(bool ok) { monitor_.finish_staged(ok); }
-
-    /// Convenience for off-pool callers: accumulates into a private
-    /// partial and merges it into `fleet` before returning.
-    std::size_t drain(fleet_stats& fleet);
 
     /// Re-select the analysis mode for a new static distortion budget via
     /// the session's controller (no-op without one; governed sessions
@@ -274,13 +266,13 @@ private:
     std::size_t collect_windows(fleet_partial& acc);
 
     /// Hand staged beats to the journal in one batched append (no-op when
-    /// nothing is staged).  Called before any report record and at drain
-    /// exit, so journaled beats always precede the reports they produced
-    /// and the stage is empty whenever the session is idle.
+    /// nothing is staged).  Called before any report record and when a
+    /// pump runs dry, so journaled beats always precede the reports they
+    /// produced and the stage is empty whenever the session is idle.
     void flush_journal_stage();
 
     /// Producer-side slow path of ingest(): fire the callback once per
-    /// crossing of the high-water mark (drain() re-arms below it).
+    /// crossing of the high-water mark (a pump that runs dry re-arms it).
     void notify_high_water() noexcept;
 
     std::uint64_t id_;
@@ -298,7 +290,7 @@ private:
     /// Ring occupancy (in beats) at which the backpressure alarm fires;
     /// 0 when no callback is configured.
     std::size_t high_water_mark_ = 0;
-    /// Armed until the mark is crossed; drain() re-arms below the mark.
+    /// Armed until the mark is crossed; a pump that runs dry re-arms it.
     std::atomic<bool> high_water_armed_{true};
     std::atomic<std::uint64_t> high_water_alarms_{0};
     std::uint64_t beats_ingested_ = 0;

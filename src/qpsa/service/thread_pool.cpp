@@ -31,14 +31,6 @@ thread_pool::~thread_pool() {
     for (auto& w : workers_) w.join();
 }
 
-void thread_pool::submit(std::function<void()> task) {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(task));
-    }
-    cv_work_.notify_one();
-}
-
 void thread_pool::submit_per_worker(
     const std::function<void(std::size_t)>& task) {
     {

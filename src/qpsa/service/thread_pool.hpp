@@ -1,9 +1,9 @@
 // Fixed-size worker pool for the batch scheduler.
 //
-// Deliberately minimal: submit() enqueues a task, wait_idle() blocks
-// until the queue is drained AND every worker is parked.  The scheduler
-// uses wait_idle() as its batch barrier, so tasks must not submit further
-// tasks.
+// Deliberately minimal: submit_per_worker() enqueues one task per
+// worker, wait_idle() blocks until the queue is drained AND every worker
+// is parked.  The scheduler uses wait_idle() as its pass barrier, so
+// tasks must not submit further tasks.
 //
 // Each worker additionally owns a core::workspace_cache -- the mutable
 // per-thread counterpart of the shared immutable plan cache.  A task
@@ -36,14 +36,12 @@ public:
 
     std::size_t size() const noexcept { return workers_.size(); }
 
-    /// Enqueue a task.  Tasks must not throw (workers terminate on
-    /// escaped exceptions) and must not call submit()/wait_idle().
-    void submit(std::function<void()> task);
-
     /// Enqueue size() copies of `task`, invoked as task(0) .. task(W-1),
     /// under one lock with a single broadcast wake-up -- the scheduler's
-    /// per-pass worker runners.  Same contract as submit(); the index is
-    /// a dense per-pass slot (deque affinity), not a thread identity.
+    /// per-pass worker runners.  Tasks must not throw (workers terminate
+    /// on escaped exceptions) and must not call submit_per_worker() or
+    /// wait_idle(); the index is a dense per-pass slot (deque affinity),
+    /// not a thread identity.
     void submit_per_worker(const std::function<void(std::size_t)>& task);
 
     /// Block until the queue is empty and all workers are parked.

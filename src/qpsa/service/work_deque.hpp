@@ -24,7 +24,7 @@ namespace qpsa::service {
 class alignas(64) work_deque {
 public:
     /// Deal the unit index range [begin, end) to this deque.  Must not
-    /// run concurrently with take/steal (the scheduler deals before the
+    /// run concurrently with take/take_back (the scheduler deals before the
     /// pass's worker tasks are submitted).
     void reset(std::uint32_t begin, std::uint32_t end) noexcept {
         range_.store(pack(begin, end), std::memory_order_relaxed);
@@ -47,7 +47,7 @@ public:
     }
 
     /// Thief end: claim the highest remaining unit index.
-    bool steal(std::uint32_t& idx) noexcept {
+    bool take_back(std::uint32_t& idx) noexcept {
         std::uint64_t r = range_.load(std::memory_order_relaxed);
         for (;;) {
             const std::uint32_t head = unpack_head(r);
@@ -60,11 +60,6 @@ public:
                 return true;
             }
         }
-    }
-
-    bool empty() const noexcept {
-        const std::uint64_t r = range_.load(std::memory_order_relaxed);
-        return unpack_head(r) >= unpack_tail(r);
     }
 
 private:

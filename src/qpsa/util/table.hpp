@@ -33,7 +33,7 @@ private:
 };
 
 /// Print a "### <title>" section banner (markdown-ish, so bench output can
-/// be pasted into EXPERIMENTS.md).
+/// be pasted into markdown notes).
 void print_section(std::ostream& os, const std::string& title);
 
 /// Print an ASCII sparkline-style bar of `value` relative to `max`.

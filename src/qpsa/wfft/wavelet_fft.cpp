@@ -1,9 +1,6 @@
 #include "qpsa/wfft/wavelet_fft.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/simd/kernels.hpp"
@@ -46,18 +43,6 @@ cplx apply_factor_uncounted(cplx f, cplx v, bool free) {
     return f * v;
 }
 
-bool recursive_lanes_env_enabled() {
-    const char* v = std::getenv("QPSA_WFFT_LANES");
-    if (v == nullptr) return true;
-    return std::strcmp(v, "off") != 0 && std::strcmp(v, "OFF") != 0 &&
-           std::strcmp(v, "0") != 0 && std::strcmp(v, "false") != 0;
-}
-
-std::atomic<bool>& recursive_lanes_flag() {
-    static std::atomic<bool> on{true};
-    return on;
-}
-
 /// leaf_dft, elementwise over nl lane-interleaved slots (layout
 /// [element * nl + lane]): the same expression tree per lane, so each
 /// lane's values match a scalar leaf_dft bit for bit.  static_schedule_
@@ -87,15 +72,6 @@ void leaf_dft_planes(const cplx* in, cplx* out, std::size_t n, std::size_t nl) {
 }
 
 }  // namespace
-
-bool recursive_lane_batching_enabled() noexcept {
-    static const bool env = recursive_lanes_env_enabled();
-    return env && recursive_lanes_flag().load(std::memory_order_relaxed);
-}
-
-void set_recursive_lane_batching(bool on) noexcept {
-    recursive_lanes_flag().store(on, std::memory_order_relaxed);
-}
 
 void leaf_dft(std::span<const cplx> in, std::span<cplx> out) {
     const std::size_t n = in.size();
@@ -422,6 +398,42 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
     }
 }
 
+void wavelet_fft::check_real_input(const cplx* in) const {
+    if (!plan_.assume_real_input) return;
+    for (std::size_t e = 0; e < plan_.n; ++e)
+        QPSA_EXPECTS(std::abs(in[e].imag()) < 1e-12);
+}
+
+bool wavelet_fft::split_stage(std::span<const cplx> in, std::span<cplx> a,
+                              std::span<cplx>& d, util::arena& scratch) const {
+    const std::size_t half = plan_.n / 2;
+    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
+    const bool dynamic_band =
+        plan_.prune.mode == prune_mode::dynamic && plan_.prune.dynamic_band_decision;
+
+    if (drop_cfg && !dynamic_band) {
+        // Static drop: the highpass half-band is never computed.
+        dwt_stage_lowpass(in, a);
+        return true;
+    }
+    d = scratch.alloc<cplx>(half);
+    dwt_stage(in, a, d, scratch);
+    if (!drop_cfg) return false;
+    // Run-time decision from the live mean L1 |d| (paper V.A: "based on
+    // the specific samples we could also apply such a threshold at
+    // run-time").  Calibration statistics use the normalized DWT, so the
+    // folded (unnormalized) Haar stage compares against a sqrt(2)-scaled
+    // threshold.
+    const real thr =
+        plan_.prune.band_threshold * (tables_->folded ? sqrt2 : 1.0);
+    real acc = 0.0;
+    for (const cplx& v : d) acc += l1_mag(v);
+    counting::count_adds(2 * half - 1);
+    counting::count_divs(1);
+    counting::count_cmps(1);
+    return (acc / static_cast<real>(half)) < thr;
+}
+
 void wavelet_fft::forward_impl(std::span<const cplx> in, std::span<cplx> out,
                                exec_stats& stats, util::arena& scratch) const {
     const std::size_t n = plan_.n;
@@ -432,36 +444,8 @@ void wavelet_fft::forward_impl(std::span<const cplx> in, std::span<cplx> out,
     util::arena::frame frame(scratch);
     std::span<cplx> a = scratch.alloc<cplx>(half);
     std::span<cplx> a_fft = scratch.alloc<cplx>(half);
-
-    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
-    const bool dynamic_band =
-        plan_.prune.mode == prune_mode::dynamic && plan_.prune.dynamic_band_decision;
-
-    bool drop = false;
     std::span<cplx> d;
-    if (drop_cfg && !dynamic_band) {
-        // Static drop: the highpass half-band is never computed.
-        dwt_stage_lowpass(in, a);
-        drop = true;
-    } else {
-        d = scratch.alloc<cplx>(half);
-        dwt_stage(in, a, d, scratch);
-        if (drop_cfg && dynamic_band) {
-            // Run-time decision from the live mean L1 |d| (paper V.A:
-            // "based on the specific samples we could also apply such a
-            // threshold at run-time").  Calibration statistics use the
-            // normalized DWT, so the folded (unnormalized) Haar stage
-            // compares against a sqrt(2)-scaled threshold.
-            const real thr = plan_.prune.band_threshold *
-                             (tables_->folded ? sqrt2 : 1.0);
-            real acc = 0.0;
-            for (const cplx& v : d) acc += l1_mag(v);
-            counting::count_adds(2 * half - 1);
-            counting::count_divs(1);
-            counting::count_cmps(1);
-            drop = (acc / static_cast<real>(half)) < thr;
-        }
-    }
+    const bool drop = split_stage(in, a, d, scratch);
     stats.band_dropped = drop || stats.band_dropped;
 
     sub_transform_a(a, a_fft, stats, scratch);
@@ -501,11 +485,7 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
     const std::size_t n = plan_.n;
     const std::size_t half = n / 2;
 
-    // Top-level real-input contract, exactly as forward() applies it.
-    if (plan_.assume_real_input)
-        for (const batch_io& it : items)
-            for (std::size_t e = 0; e < n; ++e)
-                QPSA_EXPECTS(std::abs(it.in[e].imag()) < 1e-12);
+    for (const batch_io& it : items) check_real_input(it.in);
 
     struct item_state {
         std::span<cplx> a, d, a_fft, d_fft;
@@ -524,10 +504,6 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
 
     util::arena::frame frame(scratch);
 
-    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
-    const bool dynamic_band = plan_.prune.mode == prune_mode::dynamic &&
-                              plan_.prune.dynamic_band_decision;
-
     // Stage 1, per item: DWT split + band decision -- the sequential code
     // under that item's counting scope, so per-item counts and the
     // decision itself are untouched by batching.
@@ -535,26 +511,10 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
         item_state& s = states[i];
         s.st = items[i].stats != nullptr ? items[i].stats : &locals[i];
         counting::count_scope scope(s.st->ops);
-        std::span<const cplx> in(items[i].in, n);
         s.a = scratch.alloc<cplx>(half);
         s.a_fft = scratch.alloc<cplx>(half);
-        if (drop_cfg && !dynamic_band) {
-            dwt_stage_lowpass(in, s.a);
-            s.drop = true;
-        } else {
-            s.d = scratch.alloc<cplx>(half);
-            dwt_stage(in, s.a, s.d, scratch);
-            if (drop_cfg && dynamic_band) {
-                const real thr = plan_.prune.band_threshold *
-                                 (tables_->folded ? sqrt2 : 1.0);
-                real acc = 0.0;
-                for (const cplx& v : s.d) acc += l1_mag(v);
-                counting::count_adds(2 * half - 1);
-                counting::count_divs(1);
-                counting::count_cmps(1);
-                s.drop = (acc / static_cast<real>(half)) < thr;
-            }
-        }
+        s.drop = split_stage(std::span<const cplx>(items[i].in, n), s.a, s.d,
+                             scratch);
         s.st->band_dropped = s.drop || s.st->band_dropped;
         if (!s.drop) s.d_fft = scratch.alloc<cplx>(half);
     }
@@ -598,12 +558,7 @@ void wavelet_fft::forward_batched_planes(std::span<const batch_io> items,
                                          util::arena& scratch) const {
     const std::size_t n = plan_.n;
     const std::size_t lanes = simd::kernels().lanes;
-
-    // Top-level real-input contract, exactly as forward() applies it.
-    if (plan_.assume_real_input)
-        for (const batch_io& it : items)
-            for (std::size_t e = 0; e < n; ++e)
-                QPSA_EXPECTS(std::abs(it.in[e].imag()) < 1e-12);
+    for (const batch_io& it : items) check_real_input(it.in);
 
     exec_stats sink;  // items without a stats target
     for (std::size_t base = 0; base < items.size();) {
@@ -737,9 +692,8 @@ void wavelet_fft::forward(std::span<const cplx> in, std::span<cplx> out,
     // The real-input contract is checked once at the top level only: child
     // transforms see structurally real data by construction, so re-checking
     // at every recursion level would be O(n log n) of pure overhead.
-    if (plan_.assume_real_input) {
-        for (const cplx& v : in) QPSA_EXPECTS(std::abs(v.imag()) < 1e-12);
-    }
+    QPSA_EXPECTS(in.size() == plan_.n);
+    check_real_input(in.data());
     exec_stats local;
     exec_stats& st = stats ? *stats : local;
     counting::count_scope scope(st.ops);

@@ -30,16 +30,6 @@
 
 namespace qpsa::wfft {
 
-/// Process-wide switch for the multi-level (recursive-tree) lane walk:
-/// the QPSA_WFFT_LANES environment variable ("off"/"0"/"false" disables;
-/// read once) AND the runtime toggle below.  Controls only whether
-/// static-schedule recursive trees report themselves lane-batchable --
-/// never the arithmetic -- so flipping it keeps outputs bit-identical.
-bool recursive_lane_batching_enabled() noexcept;
-
-/// Runtime override for in-process A/B runs (benches, tests).
-void set_recursive_lane_batching(bool on) noexcept;
-
 class wavelet_fft {
 public:
     explicit wavelet_fft(plan p);
@@ -86,11 +76,9 @@ public:
     /// True when forward_batched can interleave transforms one per SIMD
     /// lane: either the half-size sub-transforms run through the
     /// split-radix FFT (single_level tree), or the whole multi-level
-    /// recursion has a static schedule (see static_schedule()) and the
-    /// recursive lane walk is enabled.
+    /// recursion has a static schedule (see static_schedule()).
     bool lane_batchable() const noexcept {
-        return sub_split_radix_ != nullptr ||
-               (static_schedule_ && recursive_lane_batching_enabled());
+        return sub_split_radix_ != nullptr || static_schedule_;
     }
 
     /// True when every decision in the tree -- band drops, factor skips,
@@ -127,6 +115,15 @@ public:
     subband_spectra analyze(std::span<const cplx> in) const;
 
 private:
+    /// Top-level real-input contract (plan_.assume_real_input): checked
+    /// once per transform at the entry points, never per recursion level.
+    void check_real_input(const cplx* in) const;
+    /// DWT split plus band decision, counted into the active scope: fills
+    /// the lowpass band `a` and, unless the highpass band is dropped,
+    /// allocates and fills `d` from `scratch`.  Returns the drop decision
+    /// (static, or from the live highpass magnitude in dynamic mode).
+    bool split_stage(std::span<const cplx> in, std::span<cplx> a,
+                     std::span<cplx>& d, util::arena& scratch) const;
     void forward_impl(std::span<const cplx> in, std::span<cplx> out,
                       exec_stats& stats, util::arena& scratch) const;
     void forward_batched_planes(std::span<const batch_io> items,

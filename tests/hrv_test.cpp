@@ -1,7 +1,9 @@
 // HRV analysis tests: RR windows, band powers, detection, quality metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "qpsa/hrv/bands.hpp"
 #include "qpsa/hrv/detector.hpp"
@@ -89,6 +91,61 @@ TEST(BandPowerTest, SyntheticSpectrumSplit) {
     EXPECT_NEAR(bp.hf, 20.0 * 0.25, 0.4);
     EXPECT_NEAR(bp.lf_hf_ratio(), 10.0 * 0.11 / (20.0 * 0.25), 0.05);
     EXPECT_GT(bp.total, bp.lf + bp.hf);
+}
+
+namespace {
+/// A 0.01 Hz background grid (never on a band edge) plus grid points at
+/// `offset` from each of the 0.04 / 0.15 / 0.40 Hz edges, sorted; power
+/// from `power_of(f)`.
+template <typename PowerFn>
+qpsa::dsp::sampled_spectrum edge_grid(const std::vector<real>& offsets,
+                                      PowerFn power_of) {
+    std::vector<real> f;
+    for (int i = 0; i < 50; ++i) f.push_back(0.005 + 0.01 * i);
+    for (const real edge : {0.04, 0.15, 0.40})
+        for (const real off : offsets) f.push_back(edge + off);
+    std::sort(f.begin(), f.end());
+    qpsa::dsp::sampled_spectrum s;
+    for (const real fi : f) {
+        s.freq_hz.push_back(fi);
+        s.power.push_back(power_of(fi));
+    }
+    return s;
+}
+}  // namespace
+
+TEST(BandPowerTest, BandEdgesPartitionLfPlusHf) {
+    // LF = [0.04, 0.15) and HF = [0.15, 0.40) tile [0.04, 0.40) exactly,
+    // wherever the grid falls relative to each edge: on it, just below,
+    // just above, or straddling it.
+    constexpr real d = 1e-6;
+    const std::vector<std::vector<real>> rows = {
+        {0.0}, {-d}, {+d}, {-d, +d}, {-d, 0.0, +d},
+    };
+    const auto wavy = [](real f) { return 1.0 + 0.5 * std::sin(37.0 * f); };
+    for (const auto& offsets : rows) {
+        const auto s = edge_grid(offsets, wavy);
+        const auto bp = qh::compute_band_powers(s);
+        EXPECT_NEAR(bp.lf + bp.hf, qpsa::dsp::band_power(s, 0.04, 0.40),
+                    1e-12)
+            << "grid points at edge offsets starting " << offsets.front();
+        EXPECT_GT(bp.lf, 0.0);
+        EXPECT_GT(bp.hf, 0.0);
+    }
+}
+
+TEST(BandPowerTest, PowerAboveHfEdgeAddsNothingToHf) {
+    // Power confined to (0.40, 0.5) Hz: zero at and below the HF edge,
+    // positive above it.  HF ends at 0.40 Hz, so it stays exactly zero
+    // while the total sees the tail.
+    constexpr real d = 1e-6;
+    const auto s = edge_grid({-d, 0.0, +d},
+                             [](real f) { return f > 0.40 ? 3.0 : 0.0; });
+    const auto bp = qh::compute_band_powers(s);
+    EXPECT_EQ(bp.hf, 0.0);
+    EXPECT_EQ(bp.lf, 0.0);
+    EXPECT_GT(bp.total, 0.0);
+    EXPECT_GT(qpsa::dsp::band_power(s, 0.40, 0.5), 0.0);
 }
 
 TEST(BandPowerTest, ZeroHfGivesZeroRatio) {

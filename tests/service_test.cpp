@@ -3,6 +3,7 @@
 // multi-threaded 32-session smoke test.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 
@@ -202,11 +203,22 @@ TEST(BeatRingTest, OverwriteSpscThreaded) {
 TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {
     qs::thread_pool pool(4);
     EXPECT_EQ(pool.size(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 100);
+    // Many passes, as the scheduler runs them: each pass hands every
+    // slot index to exactly one task, and wait_idle() is the barrier --
+    // no task of a pass may still run (or be queued) once it returns.
+    constexpr int passes = 100;
+    std::array<std::atomic<int>, 4> hits{};
+    std::atomic<int> running{0};
+    for (int pass = 0; pass < passes; ++pass) {
+        pool.submit_per_worker([&](std::size_t slot) {
+            running.fetch_add(1);
+            hits[slot].fetch_add(1);
+            running.fetch_sub(1);
+        });
+        pool.wait_idle();
+        EXPECT_EQ(running.load(), 0);
+        for (const auto& h : hits) EXPECT_EQ(h.load(), pass + 1);
+    }
 }
 
 // ---------------------------------------------------------- plan cache
@@ -982,7 +994,7 @@ TEST(SchedulerDeterminismTest, StealingFleetsBitIdenticalAtAnyWorkerCount) {
     const auto run_fleet = [&](std::size_t workers) {
         qs::service_options opt;
         opt.threads = workers;
-        opt.scheduler.batch_size = 2;  // steal = true is the default
+        opt.scheduler.batch_size = 2;
         auto cache = std::make_unique<qs::plan_cache>();
         auto mgr = std::make_unique<qs::session_manager>(opt, cache.get());
         for (unsigned i = 0; i < n_sessions; ++i) {

@@ -296,33 +296,28 @@ TEST(WfftRecursiveLaneTest, BatchedWalkBitIdenticalToSequential) {
         true);
 }
 
-TEST(WfftRecursiveLaneTest, StaticScheduleGateAndRuntimeToggle) {
+TEST(WfftRecursiveLaneTest, StaticScheduleGate) {
     // Dynamic pruning decides per window from the data: no static
     // schedule, the batched walk must not claim it.
     const qf::wavelet_fft dynamic(qf::plan::dynamic_pruned(
         256, qw::basis::haar, qf::twiddle_set::set2, 0.1, 0.1,
         qf::tree_mode::recursive));
     EXPECT_FALSE(dynamic.static_schedule());
+    EXPECT_FALSE(dynamic.lane_batchable());
 
     // Db2 tables are never folded-Haar, so the recursive walk stays off.
     const qf::wavelet_fft db2(
         qf::plan::exact(128, qw::basis::db2, qf::tree_mode::recursive));
     EXPECT_FALSE(db2.static_schedule());
+    EXPECT_FALSE(db2.lane_batchable());
 
-    // The runtime kill switch (QPSA_WFFT_LANES=off equivalent) demotes a
-    // static-schedule tree to sequential batching without rebuilding it.
+    // A static-schedule recursive tree is lane-batchable by structure.
     const qf::wavelet_fft rec(
         qf::plan::exact(128, qw::basis::haar, qf::tree_mode::recursive));
-    ASSERT_TRUE(rec.static_schedule());
-    const bool was = qf::recursive_lane_batching_enabled();
-    qf::set_recursive_lane_batching(false);
-    EXPECT_FALSE(rec.lane_batchable());
-    qf::set_recursive_lane_batching(true);
+    EXPECT_TRUE(rec.static_schedule());
     EXPECT_TRUE(rec.lane_batchable());
-    qf::set_recursive_lane_batching(was);
 
-    // single_level trees lane-batch through the split-radix sub-FFTs
-    // regardless of the recursive-walk toggle.
+    // single_level trees lane-batch through the split-radix sub-FFTs.
     const qf::wavelet_fft single(qf::plan::exact(128, qw::basis::haar));
     EXPECT_FALSE(single.static_schedule());
     EXPECT_TRUE(single.lane_batchable());
