@@ -2,8 +2,8 @@
 // everything a fleet computes, durable enough to survive SIGKILL and
 // complete enough to rebuild the merged fleet_snapshot bit for bit.
 //
-// File layout (all integers little-endian, doubles as raw IEEE-754 bits,
-// the same conventions as the fleet_snapshot wire format):
+// File layout (all integers little-endian, doubles as raw IEEE-754 bits;
+// written and read with the shared byte codec, service/wire_codec.hpp):
 //
 //   header   u32 magic "QPJL"; u16 version; u16 reserved (0);
 //            u32 shard_index; u32 shard_count
@@ -12,16 +12,16 @@
 //
 // Record types and bodies:
 //   session_meta  u64 session_id; u64 seed; f64 window_seconds,
-//                 hop_seconds; u64 min_beats, history_limit; u8 governed;
-//                 u8 initial_mode (engine_class); u16 patient_id length;
-//                 patient_id bytes
+//                 hop_seconds; u64 min_beats, history_limit; u8 governed
+//                 (0/1); u8 initial_mode (engine_class); u16 patient_id
+//                 length; patient_id bytes
 //   beat          u64 session_id; f64 beat_time_s; f64 rr_s
 //                 (journaled at drain time, malformed beats included, so a
 //                 replay reproduces reject counts too)
-//   report        u64 session_id; f64 t_start, t_end; f64 ulf, lf, hf,
-//                 total; u8 diagnosis; 8 x u64 op counts (adds, muls,
-//                 divs, sqrts, cmps, trigs, loads, stores); u64 beats;
-//                 u8 engine; then the session's post-window state:
+//   report        u64 session_id; window_report (the shared encoding in
+//                 wire_codec.hpp: f64 t_start, t_end; f64 ulf, lf, hf,
+//                 total; u8 diagnosis; 8 x u64 op counts; u64 beats;
+//                 u8 engine); then the session's post-window state:
 //                 f64 battery_fraction; u64 mode_switches; u8 mode_after
 //   stats_delta   one embedded fleet_snapshot::serialize() payload -- the
 //                 batch partial exactly as it was merged into fleet_stats

@@ -1,7 +1,5 @@
 #include "qpsa/net/frame.hpp"
 
-#include <bit>
-
 #include "qpsa/util/common.hpp"
 #include "qpsa/util/crc32.hpp"
 
@@ -10,19 +8,7 @@ namespace qpsa::net {
 namespace {
 
 [[noreturn]] void fail(const char* what) {
-    throw service::wire_error(std::string("net frame: ") + what);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (std::size_t i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
-    return v;
+    throw service::wire_error(std::string(frame_context) + ": " + what);
 }
 
 bool known_type(std::uint8_t t) {
@@ -37,26 +23,30 @@ std::vector<std::uint8_t> encode_frame(msg_type type,
     const std::size_t payload = 1 + body.size();
     QPSA_EXPECTS(payload <= frame_max_payload_bytes);
 
-    std::vector<std::uint8_t> out;
-    out.reserve(frame_header_bytes + payload);
-    put_u32(out, frame_magic);
-    put_u32(out, static_cast<std::uint32_t>(payload));
     const auto type_b = static_cast<std::uint8_t>(type);
     std::uint32_t crc = util::crc32({&type_b, 1});
     crc = util::crc32_append(crc, body);
-    put_u32(out, crc);
-    out.push_back(type_b);
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
+
+    body_writer w;
+    w.reserve(frame_header_bytes + payload);
+    w.u32(frame_magic);
+    w.u32(static_cast<std::uint32_t>(payload));
+    w.u32(crc);
+    w.u8(type_b);
+    w.bytes(body);
+    return w.take();
 }
 
-std::uint32_t decode_frame_header(std::span<const std::uint8_t> header) {
+frame_header decode_frame_header(std::span<const std::uint8_t> header) {
     if (header.size() < frame_header_bytes) fail("short header");
-    if (get_u32(header, 0) != frame_magic) fail("bad magic");
-    const std::uint32_t len = get_u32(header, 4);
-    if (len == 0) fail("zero-length payload");
-    if (len > frame_max_payload_bytes) fail("oversized payload");
-    return len;
+    body_reader r(header, frame_context);
+    if (r.u32() != frame_magic) fail("bad magic");
+    frame_header h;
+    h.len = r.u32();
+    h.crc = r.u32();
+    if (h.len == 0) fail("zero-length payload");
+    if (h.len > frame_max_payload_bytes) fail("oversized payload");
+    return h;
 }
 
 frame decode_frame_payload(std::uint32_t crc,
@@ -71,54 +61,10 @@ frame decode_frame_payload(std::uint32_t crc,
 }
 
 frame decode_frame(std::span<const std::uint8_t> bytes) {
-    const std::uint32_t len = decode_frame_header(bytes);
-    if (bytes.size() != frame_header_bytes + len)
+    const frame_header h = decode_frame_header(bytes);
+    if (bytes.size() != frame_header_bytes + h.len)
         fail("frame length disagrees with buffer");
-    return decode_frame_payload(get_u32(bytes, 8),
-                                bytes.subspan(frame_header_bytes));
-}
-
-void body_writer::f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-void body_writer::bytes(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
-void body_writer::str(std::string_view s) {
-    QPSA_EXPECTS(s.size() <= 0xFFFF);
-    u16(static_cast<std::uint16_t>(s.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
-std::uint8_t body_reader::u8() {
-    need(1);
-    return bytes_[pos_++];
-}
-
-double body_reader::f64() { return std::bit_cast<double>(raw<std::uint64_t>()); }
-
-std::string body_reader::str() {
-    const std::uint16_t n = u16();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-}
-
-std::span<const std::uint8_t> body_reader::rest() {
-    std::span<const std::uint8_t> r = bytes_.subspan(pos_);
-    pos_ = bytes_.size();
-    return r;
-}
-
-void body_reader::expect_exhausted() const {
-    if (pos_ != bytes_.size())
-        throw service::wire_error("net frame: trailing body bytes");
-}
-
-void body_reader::need(std::size_t n) const {
-    if (bytes_.size() - pos_ < n)
-        throw service::wire_error("net frame: truncated body");
+    return decode_frame_payload(h.crc, bytes.subspan(frame_header_bytes));
 }
 
 }  // namespace qpsa::net

@@ -17,9 +17,10 @@
 // an error frame, the same accept-older/reject-newer rule the snapshot
 // and journal wire formats follow.
 //
-// Message bodies (all little-endian; snapshot/state blobs are the
-// existing fleet_snapshot / session_runtime_state encodings embedded
-// verbatim, so the socket layer adds framing without re-encoding):
+// Message bodies (written and read with the shared byte codec,
+// service/wire_codec.hpp; snapshot/state blobs are the existing
+// fleet_snapshot / session_runtime_state encodings embedded verbatim, so
+// the socket layer adds framing without re-encoding):
 //
 //   hello          u16 protocol_version; u8 role (1 = snapshot
 //                  publisher, 2 = ingest client, 3 = query client);
@@ -41,7 +42,7 @@
 //                  session_runtime_state::serialize() bytes
 //   adopt_ack      u64 global_id
 //   session_query  u64 global_id
-//   session_state  u8 found; when found: u64 global_id;
+//   session_state  u8 found (0/1); when found: u64 global_id;
 //                  u64 windows_completed; u32 switch_count; switch_count
 //                  x (u64 window_index, u64 mode_index);
 //                  serialize_reports() bytes
@@ -55,7 +56,7 @@
 #include <string_view>
 #include <vector>
 
-#include "qpsa/service/fleet_stats.hpp"  // service::wire_error
+#include "qpsa/service/wire_codec.hpp"
 
 namespace qpsa::net {
 
@@ -103,9 +104,15 @@ struct frame {
 std::vector<std::uint8_t> encode_frame(msg_type type,
                                        std::span<const std::uint8_t> body);
 
-/// Validate a frame header (magic, length bounds) and return the payload
-/// length (type byte included).  Throws service::wire_error.
-std::uint32_t decode_frame_header(std::span<const std::uint8_t> header);
+/// The two header words a receiver needs after validation.
+struct frame_header {
+    std::uint32_t len = 0;  ///< payload length, type byte included
+    std::uint32_t crc = 0;  ///< crc32 of the payload
+};
+
+/// Validate a frame header (magic, length bounds) and return its length
+/// and CRC words.  Throws service::wire_error.
+frame_header decode_frame_header(std::span<const std::uint8_t> header);
 
 /// CRC-check a received payload against the header's crc and split it
 /// into type + body.  Throws service::wire_error on mismatch or on an
@@ -117,66 +124,10 @@ frame decode_frame_payload(std::uint32_t crc,
 /// from a contiguous buffer (must contain exactly one frame).
 frame decode_frame(std::span<const std::uint8_t> bytes);
 
-/// Little-endian body encoder (heap-backed; message bodies are small and
-/// built off the hot path).
-class body_writer {
-public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v) { raw(v); }
-    void u32(std::uint32_t v) { raw(v); }
-    void u64(std::uint64_t v) { raw(v); }
-    void f64(double v);
-    /// Raw byte append (out of line: GCC 12's -Wstringop-overflow
-    /// false-positives on vector::insert when this inlines into callers).
-    void bytes(std::span<const std::uint8_t> b);
-    /// u16 length prefix + raw bytes (the token/patient/message idiom).
-    void str(std::string_view s);
-
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
-
-private:
-    template <typename T>
-    void raw(T v) {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    std::vector<std::uint8_t> buf_;
-};
-
-/// Little-endian body decoder; every underflow throws service::wire_error
-/// (a malformed body from a peer must not fault the daemon).
-class body_reader {
-public:
-    explicit body_reader(std::span<const std::uint8_t> bytes)
-        : bytes_(bytes) {}
-
-    std::uint8_t u8();
-    std::uint16_t u16() { return raw<std::uint16_t>(); }
-    std::uint32_t u32() { return raw<std::uint32_t>(); }
-    std::uint64_t u64() { return raw<std::uint64_t>(); }
-    double f64();
-    /// u16 length prefix + raw bytes.
-    std::string str();
-    /// The remaining bytes, consumed (embedded snapshot/state blobs).
-    std::span<const std::uint8_t> rest();
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-    /// Throws unless the body was consumed exactly.
-    void expect_exhausted() const;
-
-private:
-    template <typename T>
-    T raw() {
-        need(sizeof(T));
-        T v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v |= static_cast<T>(bytes_[pos_ + i]) << (8 * i);
-        pos_ += sizeof(T);
-        return v;
-    }
-    void need(std::size_t n) const;
-
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-};
+/// Message bodies go through the shared byte codec; decoders pass
+/// `frame_context` so their errors read "net frame: ...".
+using body_writer = service::byte_writer;
+using body_reader = service::byte_reader;
+inline constexpr const char* frame_context = "net frame";
 
 }  // namespace qpsa::net

@@ -65,12 +65,12 @@ void ingest_client::ingest(std::uint64_t global_id, real beat_time_s,
     QPSA_EXPECTS(global_id < routes_.size());
     const std::size_t shard = routes_[global_id];
     pending_batch& b = pending_[shard];
-    body_writer w;
+    std::uint8_t triple[24];
+    body_writer w(triple);
     w.u64(global_id);
     w.f64(beat_time_s);
     w.f64(rr_s);
-    const std::vector<std::uint8_t> triple = w.take();
-    b.triples.insert(b.triples.end(), triple.begin(), triple.end());
+    b.triples.insert(b.triples.end(), std::begin(triple), std::end(triple));
     if (++b.count >= opt_.batch_beats) ship_batch(shard);
 }
 
@@ -95,7 +95,7 @@ frame ingest_client::request(std::size_t shard, msg_type type,
     std::optional<frame> f = c.recv_frame();
     if (!f) throw net_error("net: shard closed during request");
     if (f->type == msg_type::error) {
-        body_reader r(f->body);
+        body_reader r(f->body, frame_context);
         throw net_error("net: shard error: " + r.str());
     }
     if (f->type != want)
@@ -108,7 +108,7 @@ std::uint64_t ingest_client::flush() {
     std::uint64_t windows = 0;
     for (std::size_t k = 0; k < conns_.size(); ++k) {
         const frame ack = request(k, msg_type::flush, {}, msg_type::flush_ack);
-        body_reader r(ack.body);
+        body_reader r(ack.body, frame_context);
         windows += r.u64();
         r.expect_exhausted();
     }
@@ -151,7 +151,7 @@ void ingest_client::migrate(std::uint64_t global_id,
     // adopt body: hand it over verbatim.
     const frame ack = request(target_shard, msg_type::adopt, state.body,
                               msg_type::adopt_ack);
-    body_reader r(ack.body);
+    body_reader r(ack.body, frame_context);
     if (r.u64() != global_id)
         throw service::wire_error("net frame: adopt_ack id mismatch");
     r.expect_exhausted();
@@ -167,22 +167,19 @@ session_report ingest_client::query_session(std::uint64_t global_id) {
     const std::vector<std::uint8_t> body = w.take();
     const frame reply = request(routes_[global_id], msg_type::session_query,
                                 body, msg_type::session_state);
-    body_reader r(reply.body);
+    body_reader r(reply.body, frame_context);
     session_report rep;
-    rep.found = r.u8() != 0;
+    rep.found = r.flag();
     if (!rep.found) {
         r.expect_exhausted();
         return rep;
     }
     rep.global_id = r.u64();
     rep.windows_completed = r.u64();
-    const std::uint32_t n = r.u32();
-    rep.switch_log.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        service::mode_switch_event e;
+    rep.switch_log.resize(r.count<std::uint32_t>(2 * 8));
+    for (service::mode_switch_event& e : rep.switch_log) {
         e.window_index = r.u64();
         e.mode_index = static_cast<std::size_t>(r.u64());
-        rep.switch_log.push_back(e);
     }
     rep.reports = service::deserialize_reports(r.rest());
     return rep;

@@ -7,17 +7,6 @@
 
 namespace qpsa::net {
 
-namespace {
-
-void send_error(socket_conn& conn, std::string_view what) {
-    body_writer w;
-    w.str(what);
-    const std::vector<std::uint8_t> body = w.take();
-    conn.send_frame(msg_type::error, body);
-}
-
-}  // namespace
-
 ingest_server::ingest_server(
     ingest_server_options opt,
     std::function<service::session_config(std::string_view,
@@ -114,9 +103,9 @@ void ingest_server::serve(socket_conn& conn) {
             if (!f) break;
             switch (f->type) {
                 case msg_type::hello: {
-                    body_reader r(f->body);
+                    body_reader r(f->body, frame_context);
                     if (r.u16() > net_protocol_version) {
-                        send_error(conn, "protocol version too new");
+                        conn.send_error("protocol version too new");
                         conn.close();
                         return;
                     }
@@ -152,7 +141,7 @@ void ingest_server::serve(socket_conn& conn) {
                     conn.close();
                     return;
                 default:
-                    send_error(conn, "unexpected message type");
+                    conn.send_error("unexpected message type");
                     break;
             }
         }
@@ -165,7 +154,7 @@ void ingest_server::serve(socket_conn& conn) {
 }
 
 void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    body_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     const std::uint64_t seed = r.u64();
     const std::string token = r.str();
@@ -179,7 +168,7 @@ void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
 
     std::lock_guard<std::mutex> lock(map_mu_);
     if (global_to_local_.count(global_id)) {
-        send_error(conn, "duplicate admit for global id");
+        conn.send_error("duplicate admit for global id");
         return;
     }
     const std::uint64_t local = mgr_.add_session(std::move(cfg));
@@ -192,9 +181,14 @@ void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
 }
 
 void ingest_server::handle_beat_batch(const frame& f) {
-    body_reader r(f.body);
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
+    body_reader r(f.body, frame_context);
+    // Validate the whole body before ingesting anything: a malformed
+    // batch must not leave a prefix of its beats behind.
+    constexpr std::size_t beat_bytes = 8 + 8 + 8;
+    const std::size_t count = r.count<std::uint32_t>(beat_bytes);
+    if (r.remaining() != count * beat_bytes)
+        r.fail("beat_batch body disagrees with its count");
+    for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t global_id = r.u64();
         const real t = r.f64();
         const real rr = r.f64();
@@ -204,7 +198,6 @@ void ingest_server::handle_beat_batch(const frame& f) {
         else
             beats_rejected_.fetch_add(1, std::memory_order_relaxed);
     }
-    r.expect_exhausted();
 }
 
 void ingest_server::handle_flush(socket_conn& conn) {
@@ -217,7 +210,7 @@ void ingest_server::handle_flush(socket_conn& conn) {
 }
 
 void ingest_server::handle_migrate_out(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    body_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     r.expect_exhausted();
 
@@ -227,7 +220,7 @@ void ingest_server::handle_migrate_out(socket_conn& conn, const frame& f) {
         std::lock_guard<std::mutex> lock(map_mu_);
         const auto it = global_to_local_.find(global_id);
         if (it == global_to_local_.end()) {
-            send_error(conn, "migrate_out: unknown global id");
+            conn.send_error("migrate_out: unknown global id");
             return;
         }
         local = it->second;
@@ -247,7 +240,7 @@ void ingest_server::handle_migrate_out(socket_conn& conn, const frame& f) {
 }
 
 void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    body_reader r(f.body, frame_context);
     const std::string token = r.str();
     const service::session_runtime_state st =
         service::session_runtime_state::deserialize(r.rest());
@@ -257,7 +250,7 @@ void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
 
     std::lock_guard<std::mutex> lock(map_mu_);
     if (global_to_local_.count(st.global_id)) {
-        send_error(conn, "adopt: global id already resident");
+        conn.send_error("adopt: global id already resident");
         return;
     }
     const std::uint64_t local = mgr_.adopt_session(std::move(cfg), st);
@@ -274,17 +267,17 @@ void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
 }
 
 void ingest_server::handle_session_query(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    body_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     r.expect_exhausted();
 
     const std::uint64_t local = local_of(global_id);
     body_writer w;
     if (local == ~std::uint64_t{0}) {
-        w.u8(0);
+        w.flag(false);
     } else {
         const service::session& s = mgr_.at(local);
-        w.u8(1);
+        w.flag(true);
         w.u64(global_id);
         w.u64(s.windows_completed());
         const std::span<const service::mode_switch_event> log =

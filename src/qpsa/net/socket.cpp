@@ -21,13 +21,6 @@ namespace {
     throw net_error("net: " + what + ": " + std::strerror(errno));
 }
 
-std::uint32_t get_u32(const std::uint8_t* b) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
 /// Build the sockaddr for an endpoint; returns the usable length.
 /// Only numeric IPv4 hosts are supported ("127.0.0.1" loopback in
 /// practice) -- fleet nodes address each other by IP, and resolving
@@ -204,17 +197,22 @@ void socket_conn::send_frame(msg_type type,
     ++frames_sent_;
 }
 
+void socket_conn::send_error(std::string_view message) {
+    body_writer w;
+    w.str(message);
+    send_frame(msg_type::error, w.take());
+}
+
 std::optional<frame> socket_conn::recv_frame() {
     if (fd_ < 0) throw net_error("net: receive on closed connection");
     std::uint8_t header[frame_header_bytes];
     if (!recv_all(header, sizeof header, /*eof_ok=*/true))
         return std::nullopt;
-    const std::uint32_t len =
-        decode_frame_header({header, sizeof header});
-    std::vector<std::uint8_t> payload(len);
+    const frame_header h = decode_frame_header(header);
+    std::vector<std::uint8_t> payload(h.len);
     recv_all(payload.data(), payload.size(), /*eof_ok=*/false);
     ++frames_received_;
-    return decode_frame_payload(get_u32(header + 8), payload);
+    return decode_frame_payload(h.crc, payload);
 }
 
 // --------------------------------------------------------------- listener

@@ -26,6 +26,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "qpsa/net/frame.hpp"
 
@@ -88,6 +89,8 @@ public:
     /// Frame and send one message; blocks up to the I/O deadline per
     /// write.  Throws net_error on failure.
     void send_frame(msg_type type, std::span<const std::uint8_t> body);
+    /// Send an error frame carrying `message` (u16 length + bytes).
+    void send_error(std::string_view message);
 
     /// Receive one frame.  Returns nullopt on clean EOF at a frame
     /// boundary; throws net_error on timeout/EOF mid-frame and

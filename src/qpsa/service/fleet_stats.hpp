@@ -14,12 +14,12 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "qpsa/core/streaming_monitor.hpp"
 #include "qpsa/energy/fleet.hpp"
 #include "qpsa/hrv/detector.hpp"
+#include "qpsa/service/wire_codec.hpp"
 
 namespace qpsa::journal {
 class report_writer;
@@ -27,25 +27,18 @@ class report_writer;
 
 namespace qpsa::service {
 
-/// Thrown by fleet_snapshot::deserialize on malformed or incompatible
-/// wire bytes (bad magic, unknown version, truncation, invalid enums).
-class wire_error : public std::runtime_error {
-public:
-    explicit wire_error(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// Wire-format version written by fleet_snapshot::serialize.  Versioning
 /// rules: additive layout changes bump this and the deserializer keeps
 /// accepting every older version it ever shipped; engine_class_count is
 /// recorded in the header, so a snapshot from a build with fewer engine
 /// kinds (an older leaf-engine set) loads into the wider table while one
-/// with more kinds than the reader knows is rejected loudly.
-/// History: v1 = PR 5 layout; v2 appends the high-water and journal
-/// telemetry columns after ratio_sum; v3 appends the live-migration
-/// columns (sessions_migrated_in/out); v4 appends the hop-cache columns
-/// (hop_hits/hop_misses/hop_bytes); v5 appends the drain-scheduler
-/// columns (windows_stolen/lane_slots_filled/lane_slots_offered).  Older
-/// payloads still load with the missing trailing columns zero.
+/// with more kinds than the reader knows is rejected loudly.  The field
+/// list itself is the column list in wire.cpp, where each column names
+/// the version that added it.  History: v1 = PR 5 layout; v2 appends the
+/// high-water and journal telemetry columns after ratio_sum; v3 the
+/// live-migration columns; v4 the hop-cache columns; v5 the
+/// drain-scheduler columns.  Older payloads still load with the missing
+/// trailing columns zero.
 inline constexpr std::uint16_t fleet_wire_version = 5;
 
 /// Per-engine-kind tally (one slot per core::engine_class).
@@ -179,9 +172,10 @@ struct fleet_snapshot {
     /// Lossless merge of another (disjoint) fleet's tallies -- the
     /// sharding primitive: shard snapshots sum into one deployment view
     /// (counts add, battery_fraction_min takes the min, per-session lists
-    /// concatenate).  Session ids are per-shard, so callers merging
-    /// shards that share an id space must namespace them first
-    /// (shard_router::shard_fleet does).
+    /// concatenate; each column's rule sits in wire.cpp's column list).
+    /// Session ids are per-shard, so callers merging shards that share an
+    /// id space must namespace them first (shard_router::shard_fleet
+    /// does).
     fleet_snapshot& operator+=(const fleet_snapshot& o);
 
     bool operator==(const fleet_snapshot&) const = default;

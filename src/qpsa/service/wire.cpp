@@ -1,35 +1,26 @@
-// fleet_snapshot binary wire format (fleet_stats.hpp declares the API).
-//
-// Layout (all integers little-endian, doubles as raw IEEE-754 bits):
+// fleet_snapshot binary wire format (fleet_stats.hpp declares the API),
+// encoded with the shared byte codec (wire_codec.hpp).
 //
 //   u32  magic "QPFS"
 //   u16  version (fleet_wire_version)
 //   u16  engine-kind slot count at serialization time
-//   u64  windows, beats, arrhythmia_windows
-//   energy totals: u64 windows; 8 x u64 op counts (adds, muls, divs,
-//        sqrts, cmps, trigs, loads, stores); f64 cycles, time_nominal_s,
-//        energy_nominal_j, energy_vfs_j
-//   per-engine tallies: slot-count x { u64 windows, u64 beats, f64 energy }
-//   u64  beats_dropped, beats_rejected, beats_overwritten
-//   drop alarms: u64 n; n x { u64 session_id, dropped, rejected,
-//        overwritten }
-//   u64  mode_switches; f64 battery_fraction_min
-//   quality rows: u64 n; n x { u64 session_id, u64 mode_switches,
-//        u8 current_mode, f64 battery_fraction }
-//   f64  lf_sum, hf_sum, ratio_sum
-//   v2+: u64 high_water_alarms; u64 journal_appends, journal_bytes,
-//        journal_fsyncs, journal_torn_tails
-//   v3+: u64 sessions_migrated_in, sessions_migrated_out
-//   v4+: u64 hop_hits, hop_misses, hop_bytes
-//   v5+: u64 windows_stolen, lane_slots_filled, lane_slots_offered
+//   then every column of fleet_columns below, in list order, that the
+//   version has.  Column encodings: u64 counters; f64 sums; energy totals
+//   as u64 windows, op_counts, f64 cycles, time_nominal_s,
+//   energy_nominal_j, energy_vfs_j; per-engine tallies as slot-count x
+//   { u64 windows, u64 beats, f64 energy }; row lists as u64 n + n rows
+//   (drop alarm: u64 session_id, dropped, rejected, overwritten; quality:
+//   u64 session_id, u64 mode_switches, u8 current_mode,
+//   f64 battery_fraction).
 //
 // A snapshot serialized by a build with fewer engine kinds than the
 // reader loads into the wider table (new kinds tally zero); one with
 // more kinds than the reader knows is rejected -- the reader cannot
 // represent those rows losslessly.  Version skew follows the additive
-// rule: an older payload (shorter tail) still loads, the new columns
-// default to zero; versions newer than the build are rejected.
-// serialize(version) emits any older layout for mixed-version fleets.
+// rule: each version only appends columns, so an older payload (shorter
+// tail) still loads with the new columns at their defaults, and versions
+// newer than the build are rejected.  serialize(version) emits any older
+// layout for mixed-version fleets.
 //
 // This file also implements session_runtime_state's encoding (the live-
 // migration transport unit, session_state.hpp):
@@ -42,7 +33,7 @@
 //   monitor: u64 n_buffered; n x { f64 t, f64 rr };
 //            u64 n_pending; n x window_report;
 //            u64 n_history; n x window_report;
-//            f64 next_window_start; u8 started;
+//            f64 next_window_start; u8 started (0/1);
 //            u64 windows_completed, beats_seen
 //   governor: u64 current_index (~0 = none), windows_seen,
 //            windows_since_switch, switches
@@ -52,10 +43,9 @@
 //   switch log: u64 n; n x { u64 window_index, u64 mode_index }
 //   reports: u64 n; n x window_report
 //
-// window_report encoding: f64 t_start, t_end; f64 ulf, lf, hf, total;
-// u8 diagnosis; 8 x u64 op counts; u64 beats; u8 engine.
-#include <bit>
-#include <cstring>
+// window_report's encoding is the shared one in wire_codec.hpp.
+#include <algorithm>
+#include <tuple>
 
 #include "qpsa/service/fleet_stats.hpp"
 #include "qpsa/service/session_state.hpp"
@@ -66,266 +56,215 @@ namespace {
 
 constexpr std::uint32_t wire_magic = 0x53465051;  // "QPFS" little-endian
 
-class writer {
-public:
-    explicit writer(std::vector<std::uint8_t>& out) : out_(out) {}
+using engine_tallies = std::array<engine_tally, core::engine_class_count>;
 
-    void u8(std::uint8_t v) { out_.push_back(v); }
-    void u16(std::uint16_t v) { raw(v); }
-    void u32(std::uint32_t v) { raw(v); }
-    void u64(std::uint64_t v) { raw(v); }
-    void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
+// Column encoders, one overload per column type (the shared record
+// encodings in wire_codec.hpp cover the nested op_counts and enums).
+void encode(byte_writer& w, std::uint64_t v) { w.u64(v); }
+void encode(byte_writer& w, double v) { w.f64(v); }
 
-private:
-    template <typename T>
-    void raw(T v) {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    std::vector<std::uint8_t>& out_;
-};
-
-class reader {
-public:
-    explicit reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-    std::uint8_t u8() { return take<std::uint8_t>(); }
-    std::uint16_t u16() { return take<std::uint16_t>(); }
-    std::uint32_t u32() { return take<std::uint32_t>(); }
-    std::uint64_t u64() { return take<std::uint64_t>(); }
-    double f64() { return std::bit_cast<double>(take<std::uint64_t>()); }
-
-    /// Guard for vector counts: each entry needs at least
-    /// `entry_bytes`, so a count the remaining payload cannot hold is
-    /// corruption, not a huge allocation request.
-    std::uint64_t count(std::size_t entry_bytes) {
-        const std::uint64_t n = u64();
-        if (entry_bytes != 0 && n > remaining() / entry_bytes)
-            throw wire_error("fleet_snapshot wire: element count exceeds payload");
-        return n;
-    }
-
-    std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
-    void expect_exhausted() const {
-        if (pos_ != bytes_.size())
-            throw wire_error("fleet_snapshot wire: trailing bytes");
-    }
-
-private:
-    template <typename T>
-    T take() {
-        if (bytes_.size() - pos_ < sizeof(T))
-            throw wire_error("fleet_snapshot wire: truncated payload");
-        T v{};
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v = static_cast<T>(v | (static_cast<T>(bytes_[pos_ + i]) << (8 * i)));
-        pos_ += sizeof(T);
-        return v;
-    }
-
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-};
-
-void write_ops(writer& w, const counting::op_counts& ops) {
-    w.u64(ops.adds);
-    w.u64(ops.muls);
-    w.u64(ops.divs);
-    w.u64(ops.sqrts);
-    w.u64(ops.cmps);
-    w.u64(ops.trigs);
-    w.u64(ops.loads);
-    w.u64(ops.stores);
+void encode(byte_writer& w, const energy::fleet_energy_totals& e) {
+    w.u64(e.windows);
+    encode(w, e.ops);
+    w.f64(e.cycles);
+    w.f64(e.time_nominal_s);
+    w.f64(e.energy_nominal_j);
+    w.f64(e.energy_vfs_j);
 }
 
-counting::op_counts read_ops(reader& r) {
-    counting::op_counts ops;
-    ops.adds = r.u64();
-    ops.muls = r.u64();
-    ops.divs = r.u64();
-    ops.sqrts = r.u64();
-    ops.cmps = r.u64();
-    ops.trigs = r.u64();
-    ops.loads = r.u64();
-    ops.stores = r.u64();
-    return ops;
+void encode(byte_writer& w, const engine_tallies& tallies) {
+    for (const engine_tally& t : tallies) {
+        w.u64(t.windows);
+        w.u64(t.beats);
+        w.f64(t.energy_nominal_j);
+    }
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> fleet_snapshot::serialize(
-    std::uint16_t version) const {
-    QPSA_EXPECTS(version >= 1 && version <= fleet_wire_version);
-    std::vector<std::uint8_t> out;
-    // Header + scalars + typical alarm/quality payloads fit well under
-    // this for fleets of a few hundred sessions; one reserve avoids the
-    // doubling churn.
-    out.reserve(256 + 37 * drop_alarms.size() + 25 * quality.size());
-    writer w(out);
-
-    w.u32(wire_magic);
-    w.u16(version);
-    w.u16(static_cast<std::uint16_t>(core::engine_class_count));
-
-    w.u64(windows);
-    w.u64(beats);
-    w.u64(arrhythmia_windows);
-
-    w.u64(energy.windows);
-    write_ops(w, energy.ops);
-    w.f64(energy.cycles);
-    w.f64(energy.time_nominal_s);
-    w.f64(energy.energy_nominal_j);
-    w.f64(energy.energy_vfs_j);
-
-    for (const engine_tally& tally : by_engine) {
-        w.u64(tally.windows);
-        w.u64(tally.beats);
-        w.f64(tally.energy_nominal_j);
-    }
-
-    w.u64(beats_dropped);
-    w.u64(beats_rejected);
-    w.u64(beats_overwritten);
-    w.u64(drop_alarms.size());
-    for (const session_drop_alarm& a : drop_alarms) {
+void encode(byte_writer& w, const std::vector<session_drop_alarm>& rows) {
+    w.u64(rows.size());
+    for (const session_drop_alarm& a : rows) {
         w.u64(a.session_id);
         w.u64(a.dropped);
         w.u64(a.rejected);
         w.u64(a.overwritten);
     }
+}
 
-    w.u64(mode_switches);
-    w.f64(battery_fraction_min);
-    w.u64(quality.size());
-    for (const session_quality& q : quality) {
+void encode(byte_writer& w, const std::vector<session_quality>& rows) {
+    w.u64(rows.size());
+    for (const session_quality& q : rows) {
         w.u64(q.session_id);
         w.u64(q.mode_switches);
-        w.u8(static_cast<std::uint8_t>(q.current_mode));
+        encode(w, q.current_mode);
         w.f64(q.battery_fraction);
     }
+}
 
-    w.f64(lf_sum);
-    w.f64(hf_sum);
-    w.f64(ratio_sum);
+// Column decoders.  `kinds` is the header's engine-kind slot count.
+struct column_reader {
+    byte_reader r;
+    std::uint16_t kinds;
+};
 
-    // Version tails are strictly additive; emitting an older version
-    // means stopping before the columns it predates.
-    if (version >= 2) {
-        w.u64(high_water_alarms);
-        w.u64(journal_appends);
-        w.u64(journal_bytes);
-        w.u64(journal_fsyncs);
-        w.u64(journal_torn_tails);
+void decode(column_reader& c, std::uint64_t& v) { v = c.r.u64(); }
+void decode(column_reader& c, double& v) { v = c.r.f64(); }
+
+void decode(column_reader& c, energy::fleet_energy_totals& e) {
+    e.windows = c.r.u64();
+    decode(c.r, e.ops);
+    e.cycles = c.r.f64();
+    e.time_nominal_s = c.r.f64();
+    e.energy_nominal_j = c.r.f64();
+    e.energy_vfs_j = c.r.f64();
+}
+
+void decode(column_reader& c, engine_tallies& tallies) {
+    for (std::uint16_t i = 0; i < c.kinds; ++i) {
+        tallies[i].windows = c.r.u64();
+        tallies[i].beats = c.r.u64();
+        tallies[i].energy_nominal_j = c.r.f64();
     }
-    if (version >= 3) {
-        w.u64(sessions_migrated_in);
-        w.u64(sessions_migrated_out);
+}
+
+void decode(column_reader& c, std::vector<session_drop_alarm>& rows) {
+    rows.resize(c.r.count(4 * 8));
+    for (session_drop_alarm& a : rows) {
+        a.session_id = c.r.u64();
+        a.dropped = c.r.u64();
+        a.rejected = c.r.u64();
+        a.overwritten = c.r.u64();
     }
-    if (version >= 4) {
-        w.u64(hop_hits);
-        w.u64(hop_misses);
-        w.u64(hop_bytes);
+}
+
+void decode(column_reader& c, std::vector<session_quality>& rows) {
+    rows.resize(c.r.count(3 * 8 + 1));
+    for (session_quality& q : rows) {
+        q.session_id = c.r.u64();
+        q.mode_switches = c.r.u64();
+        decode(c.r, q.current_mode);
+        q.battery_fraction = c.r.f64();
     }
-    if (version >= 5) {
-        w.u64(windows_stolen);
-        w.u64(lane_slots_filled);
-        w.u64(lane_slots_offered);
+}
+
+enum class merge_rule {
+    sum,     ///< counters and sums add (+=)
+    min,     ///< gauges keep the fleet minimum
+    concat,  ///< per-session rows concatenate
+};
+using enum merge_rule;
+
+template <typename T>
+void add(T& x, const T& y) {
+    x += y;
+}
+void add(engine_tallies& x, const engine_tallies& y) {
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] += y[i];
+}
+
+/// One fleet_snapshot column: the member, how two snapshots merge it,
+/// and the wire version that appended it.
+template <auto Member, merge_rule Rule, std::uint16_t Since = 1>
+struct column {
+    static void merge(fleet_snapshot& a, const fleet_snapshot& b) {
+        auto& x = a.*Member;
+        const auto& y = b.*Member;
+        if constexpr (Rule == min)
+            x = std::min(x, y);
+        else if constexpr (Rule == concat)
+            x.insert(x.end(), y.begin(), y.end());
+        else
+            add(x, y);
     }
-    return out;
+    static void write(byte_writer& w, const fleet_snapshot& s,
+                      std::uint16_t version) {
+        if (version >= Since) encode(w, s.*Member);
+    }
+    static void read(column_reader& c, fleet_snapshot& s,
+                     std::uint16_t version) {
+        if (version >= Since) decode(c, s.*Member);
+    }
+};
+
+using fs = fleet_snapshot;
+
+/// Every fleet_snapshot column, in wire order.  A new column is one
+/// struct member plus one entry here, appended with the bumped
+/// fleet_wire_version (the additive-skew rule above).
+using fleet_columns = std::tuple<
+    column<&fs::windows, sum>,
+    column<&fs::beats, sum>,
+    column<&fs::arrhythmia_windows, sum>,
+    column<&fs::energy, sum>,
+    column<&fs::by_engine, sum>,
+    column<&fs::beats_dropped, sum>,
+    column<&fs::beats_rejected, sum>,
+    column<&fs::beats_overwritten, sum>,
+    column<&fs::drop_alarms, concat>,
+    column<&fs::mode_switches, sum>,
+    column<&fs::battery_fraction_min, min>,
+    column<&fs::quality, concat>,
+    column<&fs::lf_sum, sum>,
+    column<&fs::hf_sum, sum>,
+    column<&fs::ratio_sum, sum>,
+    column<&fs::high_water_alarms, sum, 2>,
+    column<&fs::journal_appends, sum, 2>,
+    column<&fs::journal_bytes, sum, 2>,
+    column<&fs::journal_fsyncs, sum, 2>,
+    column<&fs::journal_torn_tails, sum, 2>,
+    column<&fs::sessions_migrated_in, sum, 3>,
+    column<&fs::sessions_migrated_out, sum, 3>,
+    column<&fs::hop_hits, sum, 4>,
+    column<&fs::hop_misses, sum, 4>,
+    column<&fs::hop_bytes, sum, 4>,
+    column<&fs::windows_stolen, sum, 5>,
+    column<&fs::lane_slots_filled, sum, 5>,
+    column<&fs::lane_slots_offered, sum, 5>>;
+
+/// Call f(column) for every column in list order (unrolled at compile
+/// time: no loop, no indirect calls).
+template <typename F>
+void for_each_column(F&& f) {
+    std::apply([&](auto... col) { (f(col), ...); }, fleet_columns{});
+}
+
+}  // namespace
+
+fleet_snapshot& fleet_snapshot::operator+=(const fleet_snapshot& o) {
+    for_each_column([&](auto col) { col.merge(*this, o); });
+    return *this;
+}
+
+std::vector<std::uint8_t> fleet_snapshot::serialize(
+    std::uint16_t version) const {
+    QPSA_EXPECTS(version >= 1 && version <= fleet_wire_version);
+    byte_writer w;
+    // Header + scalars + typical alarm/quality payloads fit well under
+    // this for fleets of a few hundred sessions; one reserve avoids the
+    // doubling churn.
+    w.reserve(512 + 32 * drop_alarms.size() + 25 * quality.size());
+    w.u32(wire_magic);
+    w.u16(version);
+    w.u16(static_cast<std::uint16_t>(core::engine_class_count));
+    for_each_column([&](auto col) { col.write(w, *this, version); });
+    return w.take();
 }
 
 fleet_snapshot fleet_snapshot::deserialize(
     std::span<const std::uint8_t> bytes) {
-    reader r(bytes);
-
-    if (r.u32() != wire_magic)
-        throw wire_error("fleet_snapshot wire: bad magic");
-    const std::uint16_t version = r.u16();
+    column_reader c{byte_reader(bytes, "fleet_snapshot wire"), 0};
+    if (c.r.u32() != wire_magic) c.r.fail("bad magic");
+    const std::uint16_t version = c.r.u16();
     if (version == 0 || version > fleet_wire_version)
-        throw wire_error("fleet_snapshot wire: unknown version " +
-                         std::to_string(version));
-    const std::uint16_t kinds = r.u16();
-    if (kinds > core::engine_class_count)
-        throw wire_error(
-            "fleet_snapshot wire: snapshot carries " + std::to_string(kinds) +
-            " engine kinds, this build knows " +
-            std::to_string(core::engine_class_count));
+        c.r.fail("unknown version " + std::to_string(version));
+    c.kinds = c.r.u16();
+    if (c.kinds > core::engine_class_count)
+        c.r.fail("snapshot carries " + std::to_string(c.kinds) +
+                 " engine kinds, this build knows " +
+                 std::to_string(core::engine_class_count));
 
     fleet_snapshot snap;
-    snap.windows = r.u64();
-    snap.beats = r.u64();
-    snap.arrhythmia_windows = r.u64();
-
-    snap.energy.windows = r.u64();
-    snap.energy.ops = read_ops(r);
-    snap.energy.cycles = r.f64();
-    snap.energy.time_nominal_s = r.f64();
-    snap.energy.energy_nominal_j = r.f64();
-    snap.energy.energy_vfs_j = r.f64();
-
-    for (std::uint16_t i = 0; i < kinds; ++i) {
-        engine_tally& tally = snap.by_engine[i];
-        tally.windows = r.u64();
-        tally.beats = r.u64();
-        tally.energy_nominal_j = r.f64();
-    }
-
-    snap.beats_dropped = r.u64();
-    snap.beats_rejected = r.u64();
-    snap.beats_overwritten = r.u64();
-    const std::uint64_t n_alarms = r.count(4 * sizeof(std::uint64_t));
-    snap.drop_alarms.resize(n_alarms);
-    for (session_drop_alarm& a : snap.drop_alarms) {
-        a.session_id = r.u64();
-        a.dropped = r.u64();
-        a.rejected = r.u64();
-        a.overwritten = r.u64();
-    }
-
-    snap.mode_switches = r.u64();
-    snap.battery_fraction_min = r.f64();
-    const std::uint64_t n_quality = r.count(3 * sizeof(std::uint64_t) + 1);
-    snap.quality.resize(n_quality);
-    for (session_quality& q : snap.quality) {
-        q.session_id = r.u64();
-        q.mode_switches = r.u64();
-        const std::uint8_t mode = r.u8();
-        if (mode >= core::engine_class_count)
-            throw wire_error("fleet_snapshot wire: invalid engine class " +
-                             std::to_string(mode));
-        q.current_mode = static_cast<core::engine_class>(mode);
-        q.battery_fraction = r.f64();
-    }
-
-    snap.lf_sum = r.f64();
-    snap.hf_sum = r.f64();
-    snap.ratio_sum = r.f64();
-
-    if (version >= 2) {
-        snap.high_water_alarms = r.u64();
-        snap.journal_appends = r.u64();
-        snap.journal_bytes = r.u64();
-        snap.journal_fsyncs = r.u64();
-        snap.journal_torn_tails = r.u64();
-    }
-    if (version >= 3) {
-        snap.sessions_migrated_in = r.u64();
-        snap.sessions_migrated_out = r.u64();
-    }
-    if (version >= 4) {
-        snap.hop_hits = r.u64();
-        snap.hop_misses = r.u64();
-        snap.hop_bytes = r.u64();
-    }
-    if (version >= 5) {
-        snap.windows_stolen = r.u64();
-        snap.lane_slots_filled = r.u64();
-        snap.lane_slots_offered = r.u64();
-    }
-    r.expect_exhausted();
+    for_each_column([&](auto col) { col.read(c, snap, version); });
+    c.r.expect_exhausted();
     return snap;
 }
 
@@ -333,74 +272,32 @@ namespace {
 
 constexpr std::uint32_t session_state_magic = 0x53535051;  // "QPSS" LE
 constexpr std::uint16_t session_state_wire_version = 1;
+constexpr const char* state_context = "session_state wire";
 
-void write_report(writer& w, const core::window_report& rep) {
-    w.f64(rep.t_start);
-    w.f64(rep.t_end);
-    w.f64(rep.bands.ulf);
-    w.f64(rep.bands.lf);
-    w.f64(rep.bands.hf);
-    w.f64(rep.bands.total);
-    w.u8(static_cast<std::uint8_t>(rep.diagnosis));
-    write_ops(w, rep.ops);
-    w.u64(rep.beats);
-    w.u8(static_cast<std::uint8_t>(rep.engine));
-}
-
-core::window_report read_report(reader& r) {
-    core::window_report rep;
-    rep.t_start = r.f64();
-    rep.t_end = r.f64();
-    rep.bands.ulf = r.f64();
-    rep.bands.lf = r.f64();
-    rep.bands.hf = r.f64();
-    rep.bands.total = r.f64();
-    const std::uint8_t diag = r.u8();
-    if (diag > static_cast<std::uint8_t>(hrv::diagnosis::normal))
-        throw wire_error("session_state wire: invalid diagnosis " +
-                         std::to_string(diag));
-    rep.diagnosis = static_cast<hrv::diagnosis>(diag);
-    rep.ops = read_ops(r);
-    rep.beats = static_cast<std::size_t>(r.u64());
-    const std::uint8_t engine = r.u8();
-    if (engine >= core::engine_class_count)
-        throw wire_error("session_state wire: invalid engine class " +
-                         std::to_string(engine));
-    rep.engine = static_cast<core::engine_class>(engine);
-    return rep;
-}
-
-// Serialized footprint of one window_report: 6 f64 + 1 u8 + 8 u64 ops +
-// u64 beats + u8 engine.
-constexpr std::size_t report_wire_bytes = 6 * 8 + 1 + 8 * 8 + 8 + 1;
-
-void write_reports(writer& w, const std::vector<core::window_report>& v) {
+void write_reports(byte_writer& w, std::span<const core::window_report> v) {
     w.u64(v.size());
-    for (const core::window_report& rep : v) write_report(w, rep);
+    for (const core::window_report& rep : v) encode(w, rep);
 }
 
-std::vector<core::window_report> read_reports(reader& r) {
-    const std::uint64_t n = r.count(report_wire_bytes);
-    std::vector<core::window_report> v(n);
-    for (core::window_report& rep : v) rep = read_report(r);
+std::vector<core::window_report> read_reports(byte_reader& r) {
+    std::vector<core::window_report> v(r.count(window_report_bytes));
+    for (core::window_report& rep : v) decode(r, rep);
     return v;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> session_runtime_state::serialize() const {
-    std::vector<std::uint8_t> out;
-    out.reserve(256 + 16 * (ring.size() + monitor.buffered.size()) +
-                report_wire_bytes * (monitor.pending.size() +
+    byte_writer w;
+    w.reserve(256 + 16 * (ring.size() + monitor.buffered.size()) +
+              window_report_bytes * (monitor.pending.size() +
                                      monitor.history.size() + reports.size()));
-    writer w(out);
 
     w.u32(session_state_magic);
     w.u16(session_state_wire_version);
     w.u64(global_id);
     w.u64(seed);
-    w.u16(static_cast<std::uint16_t>(patient_id.size()));
-    for (const char c : patient_id) w.u8(static_cast<std::uint8_t>(c));
+    w.str(patient_id);
 
     w.u64(ring.size());
     for (const beat_sample& s : ring) {
@@ -416,7 +313,7 @@ std::vector<std::uint8_t> session_runtime_state::serialize() const {
     write_reports(w, monitor.pending);
     write_reports(w, monitor.history);
     w.f64(monitor.next_window_start);
-    w.u8(monitor.started ? 1 : 0);
+    w.flag(monitor.started);
     w.u64(monitor.windows_completed);
     w.u64(monitor.beats_seen);
 
@@ -439,36 +336,30 @@ std::vector<std::uint8_t> session_runtime_state::serialize() const {
         w.u64(static_cast<std::uint64_t>(e.mode_index));
     }
     write_reports(w, reports);
-    return out;
+    return w.take();
 }
 
 session_runtime_state session_runtime_state::deserialize(
     std::span<const std::uint8_t> bytes) {
-    reader r(bytes);
+    byte_reader r(bytes, state_context);
 
-    if (r.u32() != session_state_magic)
-        throw wire_error("session_state wire: bad magic");
+    if (r.u32() != session_state_magic) r.fail("bad magic");
     const std::uint16_t version = r.u16();
     if (version == 0 || version > session_state_wire_version)
-        throw wire_error("session_state wire: unknown version " +
-                         std::to_string(version));
+        r.fail("unknown version " + std::to_string(version));
 
     session_runtime_state st;
     st.global_id = r.u64();
     st.seed = r.u64();
-    const std::uint16_t name_len = r.u16();
-    st.patient_id.resize(name_len);
-    for (char& c : st.patient_id) c = static_cast<char>(r.u8());
+    st.patient_id = r.str();
 
-    const std::uint64_t n_ring = r.count(2 * 8);
-    st.ring.resize(n_ring);
+    st.ring.resize(r.count(2 * 8));
     for (beat_sample& s : st.ring) {
         s.t = r.f64();
         s.rr = r.f64();
     }
 
-    const std::uint64_t n_buffered = r.count(2 * 8);
-    st.monitor.buffered.resize(n_buffered);
+    st.monitor.buffered.resize(r.count(2 * 8));
     for (auto& [t, rr] : st.monitor.buffered) {
         t = r.f64();
         rr = r.f64();
@@ -476,7 +367,7 @@ session_runtime_state session_runtime_state::deserialize(
     st.monitor.pending = read_reports(r);
     st.monitor.history = read_reports(r);
     st.monitor.next_window_start = r.f64();
-    st.monitor.started = r.u8() != 0;
+    st.monitor.started = r.flag();
     st.monitor.windows_completed = r.u64();
     st.monitor.beats_seen = r.u64();
 
@@ -493,8 +384,7 @@ session_runtime_state session_runtime_state::deserialize(
     st.windows_completed = r.u64();
     st.high_water_alarms = r.u64();
 
-    const std::uint64_t n_switches = r.count(2 * 8);
-    st.switch_log.resize(n_switches);
+    st.switch_log.resize(r.count(2 * 8));
     for (mode_switch_event& e : st.switch_log) {
         e.window_index = r.u64();
         e.mode_index = static_cast<std::size_t>(r.u64());
@@ -506,16 +396,14 @@ session_runtime_state session_runtime_state::deserialize(
 
 std::vector<std::uint8_t> serialize_reports(
     std::span<const core::window_report> reports) {
-    std::vector<std::uint8_t> out;
-    writer w(out);
-    w.u64(reports.size());
-    for (const core::window_report& rep : reports) write_report(w, rep);
-    return out;
+    byte_writer w;
+    write_reports(w, reports);
+    return w.take();
 }
 
 std::vector<core::window_report> deserialize_reports(
     std::span<const std::uint8_t> bytes) {
-    reader r(bytes);
+    byte_reader r(bytes, state_context);
     std::vector<core::window_report> v = read_reports(r);
     r.expect_exhausted();
     return v;

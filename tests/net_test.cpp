@@ -21,12 +21,14 @@
 #include "qpsa/util/crc32.hpp"
 #include "qpsa/util/random.hpp"
 #include "quality_ladder.hpp"
+#include "wire_fixtures.hpp"
 
 using qpsa::real;
 namespace qcore = qpsa::core;
 namespace qn = qpsa::net;
 namespace qp = qpsa::physio;
 namespace qs = qpsa::service;
+using qpsa::test::fat_state;
 
 namespace {
 
@@ -82,48 +84,6 @@ void expect_reports_identical(std::span<const qcore::window_report> got,
         EXPECT_EQ(got[i].beats, want[i].beats);
         EXPECT_EQ(got[i].engine, want[i].engine);
     }
-}
-
-/// A session state exercising every wire field.
-qs::session_runtime_state fat_state() {
-    qs::session_runtime_state st;
-    st.global_id = 42;
-    st.patient_id = "patient-42";
-    st.seed = 0xDEADBEEFCAFEF00DULL;
-    st.ring = {{100.25, 0.8125}, {101.0, 0.75}};
-    st.monitor.buffered = {{90.5, 0.8}, {91.25, 0.875}};
-    st.monitor.next_window_start = 60.0;
-    st.monitor.started = true;
-    st.monitor.windows_completed = 3;
-    st.monitor.beats_seen = 321;
-    qcore::window_report rep;
-    rep.t_start = 0.0;
-    rep.t_end = 120.0;
-    rep.bands.ulf = 1.0 / 3.0;
-    rep.bands.lf = 2.0 / 7.0;
-    rep.bands.hf = 1.0e-17;
-    rep.bands.total = 0.625;
-    rep.diagnosis = qpsa::hrv::diagnosis::normal;
-    rep.ops.adds = 11;
-    rep.ops.muls = 22;
-    rep.beats = 123;
-    rep.engine = qcore::engine_class::fixed_q15;
-    st.monitor.pending = {rep};
-    st.monitor.history = {rep, rep};
-    st.governor.current_index = 1;
-    st.governor.windows_seen = 3;
-    st.governor.windows_since_switch = 1;
-    st.governor.switches = 2;
-    st.battery_charge_j = 1.625e-3;
-    st.beats_ingested = 400;
-    st.beats_rejected = 5;
-    st.beats_dropped = 3;
-    st.beats_overwritten = 1;
-    st.windows_completed = 3;
-    st.high_water_alarms = 2;
-    st.switch_log = {{2, 1}, {3, 2}};
-    st.reports = {rep};
-    return st;
 }
 
 }  // namespace
@@ -269,6 +229,22 @@ TEST(SessionStateWireTest, MalformedBytesAreRejected) {
     corrupt = bytes;
     corrupt.push_back(0);
     EXPECT_THROW(qs::session_runtime_state::deserialize(corrupt),
+                 qs::wire_error);
+}
+
+TEST(SessionStateWireTest, NonCanonicalStartedFlagIsRejected) {
+    // Locate monitor.started as the one byte that differs between the
+    // two encodings, then forge the non-canonical value 2.
+    qs::session_runtime_state st = fat_state();
+    std::vector<std::uint8_t> bytes = st.serialize();
+    st.monitor.started = false;
+    const std::vector<std::uint8_t> off = st.serialize();
+    ASSERT_EQ(bytes.size(), off.size());
+    std::size_t at = 0;
+    while (bytes[at] == off[at]) ++at;
+    ASSERT_EQ(bytes[at], 1);
+    bytes[at] = 2;
+    EXPECT_THROW(qs::session_runtime_state::deserialize(bytes),
                  qs::wire_error);
 }
 
@@ -594,5 +570,121 @@ TEST(IngestTierTest, TcpSmoke) {
     expect_reports_identical(got.reports, want);
 
     client.close();
+    srv.stop();
+}
+
+// ------------------------------------------------- peer-supplied counts
+
+TEST(IngestTierTest, ForgedSessionStateRepliesThrowWireError) {
+    // A stand-in shard answering session queries with forged bodies.
+    const std::vector<std::uint8_t> no_reports =
+        qs::serialize_reports(std::vector<qcore::window_report>{});
+    std::vector<std::vector<std::uint8_t>> forged;
+    {
+        // found = 2 ahead of an otherwise well-formed "found" body.
+        qn::body_writer w;
+        w.u8(2);
+        w.u64(0);
+        w.u64(0);
+        w.u32(0);
+        w.bytes(no_reports);
+        forged.push_back(w.take());
+    }
+    {
+        // A switch count no body could hold (~64 GiB of entries).
+        qn::body_writer w;
+        w.u8(1);
+        w.u64(0);
+        w.u64(0);
+        w.u32(0xFFFFFFFFu);
+        w.bytes(no_reports);
+        forged.push_back(w.take());
+    }
+
+    qn::listener lis(unix_ep("forged"));
+    std::thread shard([&lis, &forged] {
+        auto conn = lis.accept(5000);
+        ASSERT_TRUE(conn.has_value());
+        std::size_t next = 0;
+        while (auto f = conn->recv_frame()) {
+            if (f->type == qn::msg_type::bye) break;
+            if (f->type == qn::msg_type::session_query)
+                conn->send_frame(qn::msg_type::session_state,
+                                 forged[next++ % forged.size()]);
+        }
+    });
+
+    qn::ingest_client_options copt;
+    copt.shards = {lis.local()};
+    qn::ingest_client client(copt);
+    client.connect();
+    const auto id = client.add_session("patient-0", "plain");
+    for (std::size_t i = 0; i < forged.size(); ++i)
+        EXPECT_THROW(client.query_session(id), qs::wire_error) << "body " << i;
+    client.close();
+    shard.join();
+}
+
+TEST(IngestTierTest, MalformedBeatBatchIngestsNothing) {
+    qn::ingest_server_options opt;
+    opt.listen = unix_ep("batch");
+    opt.service.threads = 1;
+    qs::plan_cache cache;
+    qn::ingest_server srv(opt, registry_config, &cache);
+    srv.start();
+
+    const auto hello = [] {
+        qn::body_writer w;
+        w.u16(qn::net_protocol_version);
+        w.u8(static_cast<std::uint8_t>(qn::peer_role::ingest));
+        w.u32(0);
+        w.u32(1);
+        return w.take();
+    }();
+    const auto batch = [](std::uint32_t count, std::size_t beats) {
+        qn::body_writer w;
+        w.u32(count);
+        for (std::size_t i = 0; i < beats; ++i) {
+            w.u64(0);  // global id
+            w.f64(0.5 + static_cast<real>(i));
+            w.f64(0.8);
+        }
+        return w.take();
+    };
+
+    {
+        qn::socket_conn c = qn::dial(srv.local());
+        c.send_frame(qn::msg_type::hello, hello);
+        qn::body_writer admit;
+        admit.u64(0);
+        admit.u64(1);
+        admit.str("plain");
+        admit.str("patient-0");
+        c.send_frame(qn::msg_type::admit, admit.take());
+        // Claims three beats, carries one: the server drops the
+        // connection without ingesting the one it could read.
+        c.send_frame(qn::msg_type::beat_batch, batch(3, 1));
+        EXPECT_FALSE(c.recv_frame().has_value());
+    }
+    for (const auto& body : {batch(0xFFFFFFFFu, 1), batch(1, 2)}) {
+        qn::socket_conn c = qn::dial(srv.local());
+        c.send_frame(qn::msg_type::hello, hello);
+        c.send_frame(qn::msg_type::beat_batch, body);
+        EXPECT_FALSE(c.recv_frame().has_value());
+    }
+    EXPECT_EQ(srv.admits(), 1u);
+    EXPECT_EQ(srv.beats_ingested(), 0u);
+    EXPECT_EQ(srv.beats_rejected(), 0u);
+
+    // A well-formed batch on a fresh connection still lands.
+    qn::socket_conn c = qn::dial(srv.local());
+    c.send_frame(qn::msg_type::hello, hello);
+    c.send_frame(qn::msg_type::beat_batch, batch(1, 1));
+    c.send_frame(qn::msg_type::flush, {});
+    const auto ack = c.recv_frame();
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->type, qn::msg_type::flush_ack);
+    EXPECT_EQ(srv.beats_ingested(), 1u);
+    c.send_frame(qn::msg_type::bye, {});
     srv.stop();
 }

@@ -17,6 +17,7 @@
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/service/service.hpp"
 #include "quality_ladder.hpp"
+#include "wire_fixtures.hpp"
 
 using qpsa::real;
 namespace qcore = qpsa::core;
@@ -24,6 +25,8 @@ namespace qp = qpsa::physio;
 namespace qs = qpsa::service;
 namespace qf = qpsa::wfft;
 namespace qw = qpsa::wavelet;
+using qpsa::test::fat_snapshot;
+using qpsa::test::fat_snapshot_v5;
 
 namespace {
 
@@ -78,44 +81,6 @@ std::vector<std::size_t> census(const qs::shard_map& map, std::size_t keys) {
     for (std::size_t i = 0; i < keys; ++i)
         ++counts[map.shard_for(patient_name(static_cast<unsigned>(i)))];
     return counts;
-}
-
-/// A fully populated snapshot exercising every wire field.
-qs::fleet_snapshot fat_snapshot() {
-    qs::fleet_snapshot s;
-    s.windows = 1234;
-    s.beats = 98765;
-    s.arrhythmia_windows = 17;
-    s.energy.windows = 1234;
-    s.energy.ops.adds = 11;
-    s.energy.ops.muls = 22;
-    s.energy.ops.divs = 33;
-    s.energy.ops.sqrts = 44;
-    s.energy.ops.cmps = 55;
-    s.energy.ops.trigs = 66;
-    s.energy.ops.loads = 77;
-    s.energy.ops.stores = 88;
-    s.energy.cycles = 1.25e9;
-    s.energy.time_nominal_s = 0.125;
-    s.energy.energy_nominal_j = 3.0e-3;
-    s.energy.energy_vfs_j = 1.0e-3;
-    for (std::size_t i = 0; i < s.by_engine.size(); ++i) {
-        s.by_engine[i].windows = 10 + i;
-        s.by_engine[i].beats = 100 + i;
-        s.by_engine[i].energy_nominal_j = 1e-4 * static_cast<real>(i + 1);
-    }
-    s.beats_dropped = 3;
-    s.beats_rejected = 2;
-    s.beats_overwritten = 1;
-    s.drop_alarms = {{7, 3, 2, 1}, {12, 0, 5, 0}};
-    s.mode_switches = 9;
-    s.battery_fraction_min = 0.3125;
-    s.quality = {{7, 2, qcore::engine_class::fixed_q15, 0.75},
-                 {12, 1, qcore::engine_class::welch, 0.5}};
-    s.lf_sum = 1.0 / 3.0;  // non-representable decimals: bit-exactness
-    s.hf_sum = 2.0 / 7.0;  // matters, not round-tripping via text
-    s.ratio_sum = 1.0e-17;
-    return s;
 }
 
 }  // namespace
@@ -502,30 +467,6 @@ TEST(ShardRouterTest, ConcurrentMultiShardDrain) {
 }
 
 // --------------------------------------------------------- version skew
-
-namespace {
-
-/// fat_snapshot() plus the columns later wire versions appended, so
-/// skew tests can see them zeroed by older encodings.
-qs::fleet_snapshot fat_snapshot_v5() {
-    qs::fleet_snapshot s = fat_snapshot();
-    s.high_water_alarms = 4;   // v2 columns
-    s.journal_appends = 100;
-    s.journal_bytes = 6400;
-    s.journal_fsyncs = 10;
-    s.journal_torn_tails = 1;
-    s.sessions_migrated_in = 2;  // v3 columns
-    s.sessions_migrated_out = 3;
-    s.hop_hits = 48;  // v4 columns
-    s.hop_misses = 6;
-    s.hop_bytes = 32768;
-    s.windows_stolen = 5;  // v5 columns
-    s.lane_slots_filled = 620;
-    s.lane_slots_offered = 640;
-    return s;
-}
-
-}  // namespace
 
 TEST(FleetWireVersionSkewTest, OlderEncodingsLoadWithNewColumnsZeroed) {
     const qs::fleet_snapshot snap = fat_snapshot_v5();
