@@ -11,10 +11,10 @@ namespace qpsa::service {
 namespace {
 
 /// Adaptive unit size (scheduler_options::batch_size == 0): see the
-/// header comment for the heuristic.  A pure function of the ready count
-/// and the SIMD lane width -- NOT the worker count -- so the unit
-/// partition (and every float merge order downstream of it) is identical
-/// for any pool size.
+/// header comment for the heuristic.  A pure function of one source's
+/// ready count and the SIMD lane width -- NOT the worker count, nor the
+/// other sources sharing the pass -- so the unit partition (and every
+/// float merge order downstream of it) is identical for any pool size.
 std::size_t adaptive_unit_size(std::size_t ready) {
     const std::size_t lane_floor =
         std::max<std::size_t>(16, 4 * simd::kernels().lanes);
@@ -26,69 +26,79 @@ std::size_t adaptive_unit_size(std::size_t ready) {
 batch_scheduler::batch_scheduler(thread_pool& pool, scheduler_options opt)
     : pool_(pool), opt_(opt), deques_(pool.size()) {}
 
-std::size_t batch_scheduler::run_once(
-    std::span<const std::unique_ptr<session>> sessions, fleet_stats& fleet) {
+std::size_t batch_scheduler::run_once(std::span<const drain_source> sources) {
     ready_.clear();
-    for (const auto& s : sessions)
-        if (s->has_pending())
-            ready_.push_back(
-                {core::engine_key_hash{}(s->config().engine_key()), s.get()});
-    if (ready_.empty()) return 0;
-
-    // Plan locality: cluster same-engine sessions so each unit (and each
-    // worker's run of units) hammers one engine shape.  stable_sort
-    // keeps admission order within a group, so unit composition is
-    // deterministic run to run.
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [](const ready_entry& a, const ready_entry& b) {
-                         return a.engine_order < b.engine_order;
-                     });
-
-    const std::size_t unit_cap = opt_.batch_size != 0
-                                     ? opt_.batch_size
-                                     : adaptive_unit_size(ready_.size());
-
-    // Cut units inside engine groups only -- a unit never spans two
-    // engine keys -- so the staged drain fills lane groups from one
-    // fleet-wide engine run instead of whatever crossed a slice boundary.
     units_.clear();
-    std::size_t group = 0;
-    while (group < ready_.size()) {
-        std::size_t gend = group + 1;
-        while (gend < ready_.size() &&
-               ready_[gend].engine_order == ready_[group].engine_order)
-            ++gend;
-        for (std::size_t u = group; u < gend; u += unit_cap)
-            units_.push_back({static_cast<std::uint32_t>(u),
-                              static_cast<std::uint32_t>(
-                                  std::min(u + unit_cap, gend)),
-                              0, fleet.make_partial()});
-        group = gend;
-    }
+    for (std::size_t src = 0; src < sources.size(); ++src)
+        cut_units(sources[src], static_cast<std::uint32_t>(src));
+    if (units_.empty()) return 0;
 
     // Deal contiguous unit runs to the worker deques: contiguous so an
     // owner's execution order is unit index order (cache-hot engine
     // runs), and a thief's steal grabs from the far end of a neighbour.
+    // Units of every source share the one set of deques.
     const std::size_t workers = deques_.size();
     for (std::size_t w = 0; w < workers; ++w)
         deques_[w].reset(
             static_cast<std::uint32_t>(units_.size() * w / workers),
             static_cast<std::uint32_t>(units_.size() * (w + 1) / workers));
 
-    pool_.submit_per_worker([this](std::size_t w) { run_worker(w); });
-    pool_.wait_idle();
+    pool_.run_per_worker([this](std::size_t w) { run_worker(w); });
 
-    // Deterministic pass-end merge: unit index order == session-id order
-    // within each engine group, independent of worker count and steal
+    // Deterministic pass-end merge: source by source (units_ is cut in
+    // source order), and unit index order == session-id order within each
+    // engine group inside a source, independent of worker count and steal
     // interleaving.  Journal stats_delta appends (inside fleet.merge)
     // inherit the same order, which is what keeps crash-recovery rebuilds
     // and replay bit-identical under stealing.
     std::size_t windows = 0;
     for (drain_unit& u : units_) {
-        fleet.merge(u.partial);
+        sources[u.source].fleet.merge(u.partial);
         windows += u.windows;
     }
     return windows;
+}
+
+void batch_scheduler::cut_units(const drain_source& src,
+                                std::uint32_t source) {
+    const std::size_t first = ready_.size();
+    for (const auto& s : src.sessions)
+        if (s->has_pending())
+            ready_.push_back(
+                {core::engine_key_hash{}(s->config().engine_key()), s.get()});
+    const std::size_t last = ready_.size();
+    if (first == last) return;
+
+    // Plan locality: cluster same-engine sessions so each unit (and each
+    // worker's run of units) hammers one engine shape.  stable_sort
+    // keeps admission order within a group, so unit composition is
+    // deterministic run to run.
+    std::stable_sort(ready_.begin() + static_cast<std::ptrdiff_t>(first),
+                     ready_.end(),
+                     [](const ready_entry& a, const ready_entry& b) {
+                         return a.engine_order < b.engine_order;
+                     });
+
+    const std::size_t unit_cap = opt_.batch_size != 0
+                                     ? opt_.batch_size
+                                     : adaptive_unit_size(last - first);
+
+    // Cut units inside engine groups only -- a unit never spans two
+    // engine keys -- so the staged drain fills lane groups from one
+    // fleet-wide engine run instead of whatever crossed a slice boundary.
+    std::size_t group = first;
+    while (group < last) {
+        std::size_t gend = group + 1;
+        while (gend < last &&
+               ready_[gend].engine_order == ready_[group].engine_order)
+            ++gend;
+        for (std::size_t u = group; u < gend; u += unit_cap)
+            units_.push_back({static_cast<std::uint32_t>(u),
+                              static_cast<std::uint32_t>(
+                                  std::min(u + unit_cap, gend)),
+                              source, 0, src.fleet.make_partial()});
+        group = gend;
+    }
 }
 
 void batch_scheduler::run_worker(std::size_t self) {

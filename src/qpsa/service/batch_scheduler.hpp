@@ -1,8 +1,11 @@
 // Batch scheduler: drains ready sessions across the fleet.
 //
-// Each pass scans for sessions with buffered ingest, orders the ENTIRE
-// ready set by engine identity, cuts it into engine-pure drain units and
-// executes the units via per-worker work-stealing deques.  Every unit
+// Each pass scans one or more drain sources (a lone manager's fleet, or
+// every shard of a router) for sessions with buffered ingest, orders each
+// source's ENTIRE ready set by engine identity, cuts it into engine-pure
+// drain units and executes the units of all sources via one set of
+// per-worker work-stealing deques, so stealing balances across shards
+// too.  Every unit
 // runs the staged lockstep drain (session::pump_to_stage), the one drain
 // path.  A session is
 // always drained whole by a single worker, so its windows complete in
@@ -21,11 +24,16 @@
 // (work_deque.hpp); a worker drains its own range in index order and
 // steals from the back of a neighbour's when it runs dry, so one slow
 // whole-window estimator no longer idles the rest of the pool at a batch
-// barrier.  Determinism: per-unit fleet_partial accumulators are merged
-// at the pass barrier in UNIT INDEX order -- session-id order within each
-// engine group -- never in completion order, so fleet snapshots, journal
-// stats_delta ordering and replay are bit-identical for any worker count
-// and any steal interleaving.  (windows_stolen is the one exception by
+// barrier.  Determinism: units are cut per source (the unit size is
+// computed from that source's own ready count), and per-unit
+// fleet_partial accumulators are merged at the pass barrier into their
+// source's fleet_stats, source by source and in UNIT INDEX order within a
+// source -- session-id order within each engine group -- never in
+// completion order.  A source's partition and merge sequence are thus
+// exactly those of a pass over that source alone, so fleet snapshots,
+// journal stats_delta ordering and replay are bit-identical for any
+// worker count, any steal interleaving and any grouping of sources into
+// passes.  (windows_stolen is the one exception by
 // design: it counts scheduling events, not analysis results.  It still
 // travels in the journaled partials -- a rebuild reproduces the recorded
 // value -- but cross-run comparisons must normalize it.)
@@ -46,27 +54,37 @@ namespace qpsa::service {
 
 struct scheduler_options {
     /// Sessions per drain unit.  0 (the default) sizes units adaptively:
-    /// clamp(ready / 16, max(16, 4 * simd lanes), 128).  The floor keeps
-    /// a unit wide enough to fill several SIMD lane groups from one
-    /// engine run, the ready/16 shape yields ~16 units per pass for the
-    /// deques to balance, and the cap bounds the latency cost of a steal
-    /// arriving late.  Deliberately independent of the worker count, so
-    /// the unit partition -- and with it every float merge order -- is
-    /// identical for any pool size.  An explicit value pins the unit size
-    /// (tests use small units to deal many per pass).
+    /// clamp(ready / 16, max(16, 4 * simd lanes), 128), `ready` being
+    /// one drain source's ready count.  The floor keeps a unit wide
+    /// enough to fill several SIMD lane groups from one engine run, the
+    /// ready/16 shape yields ~16 units per source and pass for the deques
+    /// to balance, and the cap bounds the latency cost of a steal
+    /// arriving late.  Deliberately independent of the worker count and
+    /// of the other sources in a pass, so the unit partition -- and with
+    /// it every float merge order -- is identical for any pool size and
+    /// any grouping of shards into passes.  An explicit value pins the
+    /// unit size (tests use small units to deal many per pass).
     std::size_t batch_size = 0;
+};
+
+/// One session population a pass drains, and the fleet_stats its
+/// results merge into (a lone manager's fleet, or one shard of a router).
+struct drain_source {
+    std::span<const std::unique_ptr<session>> sessions;
+    fleet_stats& fleet;
 };
 
 class batch_scheduler {
 public:
     batch_scheduler(thread_pool& pool, scheduler_options opt = {});
 
-    /// One pass: dispatch every session with pending ingest, wait for the
-    /// pass barrier, return the number of windows completed fleet-wide.
-    /// Callers serialize passes (session_manager::pump_mu_), so the pass
-    /// scratch below is reused without locking.
-    std::size_t run_once(std::span<const std::unique_ptr<session>> sessions,
-                         fleet_stats& fleet);
+    /// One pass: dispatch every session with pending ingest in any of
+    /// `sources`, wait for the pass barrier, merge each source's results
+    /// into its own fleet_stats and return the number of windows
+    /// completed across all sources.  Callers serialize passes over one
+    /// scheduler and over one source (session_manager::pump_mu_), so the
+    /// pass scratch below is reused without locking.
+    std::size_t run_once(std::span<const drain_source> sources);
 
 private:
     struct ready_entry {
@@ -80,10 +98,13 @@ private:
     struct drain_unit {
         std::uint32_t begin;  ///< range in ready_
         std::uint32_t end;
+        std::uint32_t source;  ///< index into the pass's sources
         std::size_t windows;
         fleet_partial partial;  ///< results + scheduler telemetry columns
     };
 
+    /// Append `src`'s ready sessions to ready_ and its units to units_.
+    void cut_units(const drain_source& src, std::uint32_t source);
     void run_worker(std::size_t self);
     void run_unit(drain_unit& unit, bool stolen);
 

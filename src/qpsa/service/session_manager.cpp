@@ -4,10 +4,13 @@
 
 namespace qpsa::service {
 
-session_manager::session_manager(service_options opt, plan_cache* cache)
+session_manager::session_manager(service_options opt, plan_cache* cache,
+                                 thread_pool* pool)
     : opt_(opt),
       cache_(cache != nullptr ? cache : &global_plan_cache()),
-      pool_(opt.threads),
+      own_pool_(pool == nullptr ? std::make_unique<thread_pool>(opt.threads)
+                                : nullptr),
+      pool_(pool != nullptr ? *pool : *own_pool_),
       scheduler_(pool_, opt.scheduler),
       stats_(opt.node, opt.vfs_deadline_s) {
     QPSA_EXPECTS(opt_.max_sessions >= 1);
@@ -66,7 +69,8 @@ std::size_t session_manager::pump() {
     // One pass at a time: overlapping passes would hand the same session
     // to two workers, violating the single-drainer contract.
     std::lock_guard<std::mutex> lock(pump_mu_);
-    return scheduler_.run_once({sessions_.data(), session_count()}, stats_);
+    const drain_source src = source();
+    return scheduler_.run_once({&src, 1});
 }
 
 extracted_session session_manager::extract_session(std::uint64_t id) {
@@ -178,19 +182,18 @@ fleet_snapshot session_manager::fleet() const {
     return snap;
 }
 
+bool session_manager::has_pending() const noexcept {
+    const std::size_t n = session_count();
+    for (std::size_t i = 0; i < n; ++i)
+        if (sessions_[i]->has_pending()) return true;
+    return false;
+}
+
 std::size_t session_manager::drain_all() {
     std::size_t total = 0;
     for (;;) {
-        const std::size_t w = pump();
-        total += w;
-        bool pending = false;
-        const std::size_t n = session_count();
-        for (std::size_t i = 0; i < n; ++i)
-            if (sessions_[i]->has_pending()) {
-                pending = true;
-                break;
-            }
-        if (!pending) return total;
+        total += pump();
+        if (!has_pending()) return total;
     }
 }
 

@@ -2,9 +2,10 @@
 // shared plan cache, a fixed worker pool and fleet-wide accounting.
 //
 // A manager holds no process-global state of its own -- stats, energy
-// pricer, scheduler and pool are all per-instance, and stream seeds can
-// be namespaced (stream_offset) -- so K managers compose into one sharded
-// fleet over a shared plan cache (see shard_router).
+// pricer and scheduler are per-instance, the pool is its own unless one
+// is passed in, and stream seeds can be namespaced (stream_offset) -- so
+// K managers compose into one sharded fleet over a shared plan cache and
+// a shared worker pool (see shard_router).
 //
 // Threading contract:
 //   * admission -- add_session() is mutex-guarded and publishes the new
@@ -36,7 +37,8 @@
 namespace qpsa::service {
 
 struct service_options {
-    /// Worker threads (0 = hardware concurrency).
+    /// Worker threads of the manager's own pool (0 = hardware
+    /// concurrency); unused when the manager is built over a shared pool.
     std::size_t threads = 0;
     scheduler_options scheduler;
 
@@ -71,8 +73,12 @@ struct service_options {
 class session_manager {
 public:
     /// `cache == nullptr` uses the process-wide global_plan_cache().
+    /// `pool == nullptr` gives the manager its own pool of opt.threads
+    /// workers; otherwise passes run on `pool`, which must outlive the
+    /// manager and may be shared with other managers (shard_router).
     explicit session_manager(service_options opt = {},
-                             plan_cache* cache = nullptr);
+                             plan_cache* cache = nullptr,
+                             thread_pool* pool = nullptr);
 
     /// Register a patient; returns the session id (dense, starting at 0).
     /// When cfg.seed == 0 a per-session stream seed is derived from the
@@ -144,9 +150,21 @@ public:
     }
 
 private:
+    /// shard_router drains every shard in one pass: it takes each
+    /// shard's pump_mu_ and hands source() to its own scheduler.
+    friend class shard_router;
+
+    /// This manager's sessions and stats as one scheduler source.
+    drain_source source() noexcept {
+        return {{sessions_.data(), session_count()}, stats_};
+    }
+    /// Whether any session holds buffered ingest.
+    bool has_pending() const noexcept;
+
     service_options opt_;
     plan_cache* cache_;
-    thread_pool pool_;
+    std::unique_ptr<thread_pool> own_pool_;  ///< null over a shared pool
+    thread_pool& pool_;
     batch_scheduler scheduler_;
     fleet_stats stats_;
     std::mutex admit_mu_;  ///< serializes add_session()

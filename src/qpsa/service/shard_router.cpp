@@ -2,30 +2,23 @@
 
 #include <filesystem>
 #include <limits>
-#include <thread>
 
 namespace qpsa::service {
 
 shard_router::shard_router(router_options opt, plan_cache* cache)
     : opt_(opt),
       cache_(cache != nullptr ? cache : &global_plan_cache()),
-      map_(opt.shards, opt.placement) {
+      map_(opt.shards, opt.placement),
+      pool_(opt.shard.threads),
+      scheduler_(pool_, opt.shard.scheduler) {
     QPSA_EXPECTS(opt_.shards >= 1);
-    shard_opt_ = opt_.shard;
-    if (shard_opt_.threads == 0) {
-        // Split the machine across shards rather than oversubscribing it
-        // K-fold; a shard always gets at least one worker.
-        const std::size_t hw = std::max<std::size_t>(
-            1, std::thread::hardware_concurrency());
-        shard_opt_.threads = std::max<std::size_t>(1, hw / opt_.shards);
-    }
     if (!opt_.journal_dir.empty())
         std::filesystem::create_directories(opt_.journal_dir);
     // Reserved once so ingest() can index shards_ lock-free while
     // reshape() appends: room for growth without reallocation.
     shards_.reserve(std::max<std::size_t>(opt_.shards * 2, 16));
     for (std::size_t k = 0; k < opt_.shards; ++k) {
-        service_options shard_opt = shard_opt_;
+        service_options shard_opt = opt_.shard;
         if (!opt_.journal_dir.empty()) {
             journal::writer_options jw = opt_.journal;
             jw.shard_index = static_cast<std::uint32_t>(k);
@@ -36,13 +29,13 @@ shard_router::shard_router(router_options opt, plan_cache* cache)
                 jw);
         }
         shards_.push_back(
-            std::make_unique<session_manager>(shard_opt, cache_));
+            std::make_unique<session_manager>(shard_opt, cache_, &pool_));
     }
     // Allocated once: ingest() indexes this storage lock-free while
     // add_session() runs, so it must never move.  The global ceiling is
     // the sum of the construction-time shard ceilings (8 bytes per
     // reserved route); reshape() adds shards but not route capacity.
-    route_capacity_ = opt_.shards * shard_opt_.max_sessions;
+    route_capacity_ = opt_.shards * opt_.shard.max_sessions;
     routes_ = std::make_unique<std::atomic<std::uint64_t>[]>(route_capacity_);
 }
 
@@ -135,6 +128,9 @@ void shard_router::migrate_session(std::uint64_t id,
 }
 
 void shard_router::reshape(std::size_t new_shards) {
+    // pass_mu_ first: no fleet-wide pass is mid-flight over shards_ while
+    // it grows (shard pumps and migrations quiesce through pump_mu_).
+    std::lock_guard<std::mutex> pass(pass_mu_);
     std::lock_guard<std::mutex> lock(admit_mu_);
     QPSA_EXPECTS(new_shards >= shards_.size());
     // Journal headers stamp the admission-time topology; growing a
@@ -145,7 +141,7 @@ void shard_router::reshape(std::size_t new_shards) {
     while (shards_.size() < new_shards) {
         map_.add_shard();
         shards_.push_back(
-            std::make_unique<session_manager>(shard_opt_, cache_));
+            std::make_unique<session_manager>(opt_.shard, cache_, &pool_));
     }
     // Consistent hashing moves only the keys the new shards win; every
     // moved session resumes bit-identically from its extracted state.
@@ -158,18 +154,39 @@ void shard_router::reshape(std::size_t new_shards) {
     }
 }
 
+std::size_t shard_router::pass_locked() {
+    // Every shard's pass mutex, in index order: a concurrent
+    // shard(k).pump() or extract_session() (which quiesces the analysis
+    // plane through it) waits for this pass, and vice versa.  admit_mu_
+    // is never taken while these are held, so migration -- admit_mu_,
+    // then one shard's pump_mu_ -- cannot deadlock against a pass.
+    struct release {
+        std::vector<std::unique_lock<std::mutex>>& locks;
+        ~release() { locks.clear(); }
+    } on_exit{shard_locks_};
+    sources_.clear();
+    for (const auto& shard : shards_) {
+        shard_locks_.emplace_back(shard->pump_mu_);
+        sources_.push_back(shard->source());
+    }
+    return scheduler_.run_once(sources_);
+}
+
 std::size_t shard_router::pump() {
-    std::size_t windows = 0;
-    for (const auto& shard : shards_) windows += shard->pump();
-    return windows;
+    std::lock_guard<std::mutex> lock(pass_mu_);
+    return pass_locked();
 }
 
 std::size_t shard_router::drain_all() {
-    // Shards are independent (no cross-shard sessions), so each one's
-    // own drain loop terminating is fleet-wide termination.
     std::size_t windows = 0;
-    for (const auto& shard : shards_) windows += shard->drain_all();
-    return windows;
+    for (;;) {
+        std::lock_guard<std::mutex> lock(pass_mu_);
+        windows += pass_locked();
+        bool pending = false;
+        for (const auto& shard : shards_)
+            pending = pending || shard->has_pending();
+        if (!pending) return windows;
+    }
 }
 
 void shard_router::flush_journals(bool sync) {
@@ -190,11 +207,15 @@ core::system_factory shard_router::factory() {
 }
 
 fleet_snapshot shard_router::shard_fleet(std::size_t k) const {
-    QPSA_EXPECTS(k < shards_.size());
     // Serialized against add_session(): the shard publishes its local
     // slot before the router publishes the route, so an unsynchronized
     // snapshot could see a session whose global id does not exist yet.
     std::lock_guard<std::mutex> lock(admit_mu_);
+    QPSA_EXPECTS(k < shards_.size());
+    return shard_fleet_locked(k);
+}
+
+fleet_snapshot shard_router::shard_fleet_locked(std::size_t k) const {
     fleet_snapshot snap = shards_[k]->fleet();
     // Remap the per-session rows from shard-local ids to global ids.
     // Local ids are dense per shard, so a local -> global table falls
@@ -214,13 +235,12 @@ fleet_snapshot shard_router::shard_fleet(std::size_t k) const {
 }
 
 fleet_snapshot shard_router::fleet() const {
-    fleet_snapshot merged;
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-        if (k == 0)
-            merged = shard_fleet(0);
-        else
-            merged += shard_fleet(k);
-    }
+    // One admit_mu_ hold for the whole merge: the shard count is read
+    // under it, so a concurrent reshape() is seen entirely or not at all.
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    fleet_snapshot merged = shard_fleet_locked(0);
+    for (std::size_t k = 1; k < shards_.size(); ++k)
+        merged += shard_fleet_locked(k);
     return merged;
 }
 

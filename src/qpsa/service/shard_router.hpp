@@ -4,11 +4,15 @@
 // The router partitions patients across K independent shards by
 // consistent hashing on the (first-class) patient_id -- see shard_map --
 // and exposes the same ingest/drain/fleet surface as a single
-// session_manager, so callers never learn the topology.  Each shard owns
-// its own batch_scheduler and worker pool (no cross-shard locks anywhere
-// on the hot path); all shards share one plan_cache and therefore the
-// process-wide twiddle memo, so a 4-shard fleet running the standard
-// mode mix still builds each engine exactly once.
+// session_manager, so callers never learn the topology.  A shard is a
+// placement, journal and migration boundary, not a thread-pool boundary:
+// the router owns one worker pool and one batch_scheduler, and pump()
+// drains every shard's ready sessions in a single work-stealing pass
+// (each shard's results still merge into its own stats, in the order a
+// pass over that shard alone would use).  All shards share one
+// plan_cache and therefore the process-wide twiddle memo, so a 4-shard
+// fleet running the standard mode mix still builds each engine exactly
+// once.
 //
 // Identity:
 //   * session ids are global and dense in admission order -- exactly the
@@ -21,9 +25,11 @@
 //     per-shard rows before handing bytes or merges out).
 //
 // Threading contract matches session_manager's: ingest() is lock-free
-// and safe concurrently with add_session() and pump(); pump()/drain_all()
-// may be driven by one thread per shard via shard(k).pump() -- shards
-// never share mutable state, which the tsan suite exercises.
+// and safe concurrently with add_session() and pump().  shard(k).pump()
+// stays available (one pass over one shard, on the shared pool) and may
+// run concurrently with other shards' pumps and with the router's own
+// passes -- the pool's barrier is per pass, and shards never share
+// mutable state, which the tsan suite exercises.
 #pragma once
 
 #include <atomic>
@@ -43,9 +49,9 @@ struct router_options {
     std::size_t shards = 1;
     shard_map_options placement;
 
-    /// Per-shard service options.  threads == 0 divides the hardware
-    /// threads evenly across shards (min 1 each) instead of giving every
-    /// shard a full-size pool; max_sessions is the per-shard admission
+    /// Per-shard service options.  threads sizes the router's one
+    /// worker pool, shared by every shard (0 = hardware concurrency, as
+    /// for a lone manager); max_sessions is the per-shard admission
     /// ceiling, and the router's global ceiling is shards * max_sessions
     /// (consistent hashing keeps shard loads near-even, so the fleet
     /// ceiling is realizable, not just nominal).
@@ -123,14 +129,15 @@ public:
     /// resumes bit-identically (shard_map::add_shard moves only the keys
     /// the new shards win).  Producers must be quiesced.  Not available
     /// on journaled routers: the on-disk headers stamp the admission-time
-    /// topology.
+    /// topology.  Serialized against pump(), drain_all() and fleet().
     void reshape(std::size_t new_shards);
 
-    /// One scheduler pass per shard; returns windows completed fleet-wide.
-    /// Shards are pumped in sequence here -- a deployment wanting shard
-    /// parallelism drives shard(k).pump() from one thread per shard.
+    /// One fleet-wide scheduler pass: every shard's ready sessions are
+    /// drained together on the router's pool; returns windows completed
+    /// fleet-wide.  Each shard's snapshot and journal end up exactly as
+    /// after shard(0).pump(), ..., shard(K-1).pump().
     std::size_t pump();
-    /// Drain every shard until no session has buffered ingest.
+    /// Fleet-wide passes until no shard has buffered ingest.
     std::size_t drain_all();
 
     /// Engine factory over the shared cache (same as any shard's).
@@ -155,6 +162,8 @@ public:
     void close_journals();
 
     plan_cache_stats cache_stats() const { return cache_->stats(); }
+    /// Size of the one worker pool every shard's passes run on.
+    std::size_t worker_count() const noexcept { return pool_.size(); }
 
 private:
     struct route {
@@ -181,16 +190,32 @@ private:
     /// Swing one route to a new shard under admit_mu_ (extract on the
     /// old manager, adopt on the new, atomic route publish).
     void move_route_locked(std::uint64_t id, std::size_t target_shard);
+    /// One fleet-wide pass; pass_mu_ held.
+    std::size_t pass_locked();
+    /// shard_fleet(k); admit_mu_ held.
+    fleet_snapshot shard_fleet_locked(std::size_t k) const;
 
     router_options opt_;
-    service_options shard_opt_;  ///< resolved per-shard options (threads set)
     plan_cache* cache_;
     shard_map map_;
+    /// The one worker pool every shard's passes run on; declared before
+    /// shards_, which hold references to it.
+    thread_pool pool_;
+    batch_scheduler scheduler_;
     std::vector<std::unique_ptr<session_manager>> shards_;
+    /// Serializes fleet-wide passes and reshape(): a pass reads shards_
+    /// and must not see a shard appended mid-pass.  Ordered before
+    /// admit_mu_ and before every shard's pump_mu_.
+    std::mutex pass_mu_;
+    /// Pass scratch (under pass_mu_), capacity reused across passes.
+    std::vector<drain_source> sources_;
+    std::vector<std::unique_lock<std::mutex>> shard_locks_;
     /// Serializes add_session(), migration (extract/adopt/reshape) and
     /// the snapshot id remapping: a fleet read must not observe a
-    /// shard-published session whose global route is not out yet, and a
-    /// migration must not swing routes mid-remap.
+    /// shard-published session whose global route is not out yet (nor a
+    /// shard reshape() is still appending), and a migration must not
+    /// swing routes mid-remap.  Never taken while shard pump_mu_s are
+    /// held (migration takes them beneath it).
     mutable std::mutex admit_mu_;
     /// Fixed-capacity atomic route table (allocated once; a vector of
     /// atomics cannot push_back).

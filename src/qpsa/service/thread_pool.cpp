@@ -31,19 +31,14 @@ thread_pool::~thread_pool() {
     for (auto& w : workers_) w.join();
 }
 
-void thread_pool::submit_per_worker(
+void thread_pool::run_per_worker(
     const std::function<void(std::size_t)>& task) {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t i = 0; i < workers_.size(); ++i)
-            queue_.push_back([task, i] { task(i); });
-    }
-    cv_work_.notify_all();
-}
-
-void thread_pool::wait_idle() {
+    std::size_t pending = workers_.size();
     std::unique_lock<std::mutex> lock(mu_);
-    cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+    for (std::size_t i = 0; i < workers_.size(); ++i)
+        queue_.push_back({&task, i, &pending});
+    cv_work_.notify_all();
+    cv_done_.wait(lock, [&pending] { return pending == 0; });
 }
 
 core::workspace_cache* thread_pool::current_workspace_cache() noexcept {
@@ -53,20 +48,18 @@ core::workspace_cache* thread_pool::current_workspace_cache() noexcept {
 void thread_pool::worker_loop(core::workspace_cache* cache) {
     g_worker_cache = cache;
     for (;;) {
-        std::function<void()> task;
+        job j{};
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
             if (stop_ && queue_.empty()) return;
-            task = std::move(queue_.front());
+            j = queue_.front();
             queue_.pop_front();
-            ++active_;
         }
-        task();
+        (*j.task)(j.slot);
         {
             std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-            if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
+            if (--*j.pending == 0) cv_done_.notify_all();
         }
     }
 }

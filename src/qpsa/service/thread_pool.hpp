@@ -1,9 +1,11 @@
 // Fixed-size worker pool for the batch scheduler.
 //
-// Deliberately minimal: submit_per_worker() enqueues one task per
-// worker, wait_idle() blocks until the queue is drained AND every worker
-// is parked.  The scheduler uses wait_idle() as its pass barrier, so
-// tasks must not submit further tasks.
+// Deliberately minimal: run_per_worker() hands one task per worker to the
+// pool and blocks until exactly those tasks have finished -- the
+// scheduler's pass barrier.  The barrier is per call, not per pool, so
+// several threads may run passes on one shared pool at once (a shard
+// router's fleet-wide pass beside a shard's own pump()) without waiting
+// on each other's work.  Tasks must not call run_per_worker() themselves.
 //
 // Each worker additionally owns a core::workspace_cache -- the mutable
 // per-thread counterpart of the shared immutable plan cache.  A task
@@ -36,16 +38,15 @@ public:
 
     std::size_t size() const noexcept { return workers_.size(); }
 
-    /// Enqueue size() copies of `task`, invoked as task(0) .. task(W-1),
-    /// under one lock with a single broadcast wake-up -- the scheduler's
-    /// per-pass worker runners.  Tasks must not throw (workers terminate
-    /// on escaped exceptions) and must not call submit_per_worker() or
-    /// wait_idle(); the index is a dense per-pass slot (deque affinity),
-    /// not a thread identity.
-    void submit_per_worker(const std::function<void(std::size_t)>& task);
-
-    /// Block until the queue is empty and all workers are parked.
-    void wait_idle();
+    /// Run task(0) .. task(W-1), W = size(), on the pool (queued under
+    /// one lock with a single broadcast wake-up) and return once all W
+    /// have finished.  Only this call's tasks are waited for: concurrent
+    /// callers share the workers but not the barrier.  Tasks must not
+    /// throw (workers terminate on escaped exceptions) and must not call
+    /// run_per_worker(); the index is a dense per-call slot (deque
+    /// affinity), not a thread identity -- one worker may run several
+    /// slots of a call when others are busy elsewhere.
+    void run_per_worker(const std::function<void(std::size_t)>& task);
 
     /// The calling pool worker's workspace cache; nullptr on any thread
     /// that is not a pool worker (callers then fall back to private
@@ -53,13 +54,20 @@ public:
     static core::workspace_cache* current_workspace_cache() noexcept;
 
 private:
+    /// One queued slot of a run_per_worker() call; `pending` is that
+    /// call's count of unfinished slots, on the caller's stack.
+    struct job {
+        const std::function<void(std::size_t)>* task;
+        std::size_t slot;
+        std::size_t* pending;
+    };
+
     void worker_loop(core::workspace_cache* cache);
 
     std::mutex mu_;
-    std::condition_variable cv_work_;   ///< signals workers: work or stop
-    std::condition_variable cv_idle_;   ///< signals waiters: all drained
-    std::deque<std::function<void()>> queue_;
-    std::size_t active_ = 0;  ///< tasks currently executing
+    std::condition_variable cv_work_;  ///< signals workers: work or stop
+    std::condition_variable cv_done_;  ///< signals callers: a call finished
+    std::deque<job> queue_;
     bool stop_ = false;
     /// One workspace cache per worker (stable addresses; owned here so
     /// arenas outlive every task the worker will ever run).

@@ -204,21 +204,52 @@ TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {
     qs::thread_pool pool(4);
     EXPECT_EQ(pool.size(), 4u);
     // Many passes, as the scheduler runs them: each pass hands every
-    // slot index to exactly one task, and wait_idle() is the barrier --
-    // no task of a pass may still run (or be queued) once it returns.
+    // slot index to exactly one task, and run_per_worker() is the
+    // barrier -- no task of a pass may still run once it returns.
     constexpr int passes = 100;
     std::array<std::atomic<int>, 4> hits{};
     std::atomic<int> running{0};
     for (int pass = 0; pass < passes; ++pass) {
-        pool.submit_per_worker([&](std::size_t slot) {
+        pool.run_per_worker([&](std::size_t slot) {
             running.fetch_add(1);
             hits[slot].fetch_add(1);
             running.fetch_sub(1);
         });
-        pool.wait_idle();
         EXPECT_EQ(running.load(), 0);
         for (const auto& h : hits) EXPECT_EQ(h.load(), pass + 1);
     }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachWaitForTheirOwnSlots) {
+    // Two threads drive passes on one shared pool at once (a router's
+    // fleet-wide pass beside a shard's own pump).  Every pass must run
+    // each of its slots exactly once and return only after all of its
+    // own slots finished -- whatever the other caller's tasks are doing.
+    qs::thread_pool pool(4);
+    constexpr int passes = 100;
+    const auto drive = [&pool](int& failures) {
+        for (int pass = 0; pass < passes; ++pass) {
+            std::array<std::atomic<int>, 4> hits{};
+            std::atomic<int> running{0};
+            pool.run_per_worker([&](std::size_t slot) {
+                running.fetch_add(1);
+                hits[slot].fetch_add(1);
+                std::this_thread::yield();
+                running.fetch_sub(1);
+            });
+            if (running.load() != 0) ++failures;
+            for (const auto& h : hits)
+                if (h.load() != 1) ++failures;
+        }
+    };
+    int failures_a = 0;
+    int failures_b = 0;
+    std::thread a([&] { drive(failures_a); });
+    std::thread b([&] { drive(failures_b); });
+    a.join();
+    b.join();
+    EXPECT_EQ(failures_a, 0);
+    EXPECT_EQ(failures_b, 0);
 }
 
 // ---------------------------------------------------------- plan cache

@@ -4,16 +4,20 @@
 // wire format round trip (including genuine version skew via the
 // serialize(version) overload), live session migration
 // (extract/adopt bit-identity mid-window and mid-governor-dwell,
-// K=1 -> 2 -> 4 reshapes), and multi-shard concurrency -- drains and
+// K=1 -> 2 -> 4 reshapes), the fleet-wide pass against sequential
+// per-shard passes, and multi-shard concurrency -- drains, reshapes and
 // snapshot-vs-migration races (the tsan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "qpsa/journal/report_reader.hpp"
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/service/service.hpp"
 #include "quality_ladder.hpp"
@@ -466,6 +470,87 @@ TEST(ShardRouterTest, ConcurrentMultiShardDrain) {
         expect_reports_identical(router.at(i).reports(), fx.serial[i]);
 }
 
+TEST(ShardRouterTest, FleetWidePassEqualsPerShardPasses) {
+    // One pool, K placements: router.pump() drains every shard's ready
+    // sessions in one work-stealing pass, yet each shard's results must
+    // land exactly as sequential shard(k).pump() calls leave them --
+    // snapshot bytes (stats_delta merge order included), journals and
+    // per-session reports -- at any pool size.
+    const sharded_fixture fx(16, 300.0);
+    constexpr std::size_t chunk = 48;
+    std::size_t steps = 0;
+    for (const auto& rec : fx.records)
+        steps = std::max(steps, (rec.beats() + chunk - 1) / chunk);
+
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(workers);
+        const std::string tag = std::to_string(workers);
+        const std::string dir_wide =
+            ::testing::TempDir() + "qpsa-fleet-wide-" + tag;
+        const std::string dir_seq =
+            ::testing::TempDir() + "qpsa-per-shard-" + tag;
+        std::filesystem::remove_all(dir_wide);
+        std::filesystem::remove_all(dir_seq);
+
+        qs::router_options opt;
+        opt.shards = 4;
+        opt.shard.threads = workers;
+        qs::plan_cache cache;
+        opt.journal_dir = dir_wide;
+        qs::shard_router wide(opt, &cache);
+        opt.journal_dir = dir_seq;
+        qs::shard_router seq(opt, &cache);
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            wide.add_session(fx.session(i));
+            seq.add_session(fx.session(i));
+        }
+
+        for (std::size_t step = 0; step < steps; ++step) {
+            for (unsigned i = 0; i < fx.records.size(); ++i) {
+                const auto& rec = fx.records[i];
+                const std::size_t end =
+                    std::min(rec.beats(), (step + 1) * chunk);
+                for (std::size_t b = step * chunk; b < end; ++b) {
+                    ASSERT_TRUE(
+                        wide.ingest(i, rec.beat_time_s[b], rec.rr_s[b]));
+                    ASSERT_TRUE(
+                        seq.ingest(i, rec.beat_time_s[b], rec.rr_s[b]));
+                }
+            }
+            wide.pump();
+            for (std::size_t k = 0; k < seq.shard_count(); ++k)
+                seq.shard(k).pump();
+        }
+        wide.drain_all();
+        for (std::size_t k = 0; k < seq.shard_count(); ++k)
+            seq.shard(k).drain_all();
+
+        // windows_stolen counts scheduling events, not results: the one
+        // column a different pass grouping may legitimately move.
+        for (std::size_t k = 0; k < wide.shard_count(); ++k) {
+            auto got = wide.shard_fleet(k);
+            auto want = seq.shard_fleet(k);
+            EXPECT_GT(got.windows, 0u);
+            got.windows_stolen = 0;
+            want.windows_stolen = 0;
+            EXPECT_EQ(got.serialize(), want.serialize()) << "shard " << k;
+        }
+
+        wide.close_journals();
+        seq.close_journals();
+        EXPECT_EQ(qpsa::journal::rebuild_fleet_snapshot(dir_wide),
+                  wide.fleet());
+        EXPECT_EQ(qpsa::journal::rebuild_fleet_snapshot(dir_seq),
+                  seq.fleet());
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            expect_reports_identical(wide.at(i).reports(), fx.serial[i]);
+            expect_reports_identical(seq.at(i).reports(), fx.serial[i]);
+        }
+        std::filesystem::remove_all(dir_wide);
+        std::filesystem::remove_all(dir_seq);
+    }
+}
+
 // --------------------------------------------------------- version skew
 
 TEST(FleetWireVersionSkewTest, OlderEncodingsLoadWithNewColumnsZeroed) {
@@ -761,4 +846,64 @@ TEST(MigrationTest, ConcurrentSnapshotsAndMigrationsDoNotRace) {
     for (unsigned i = 0; i < fx.records.size(); ++i)
         expect_reports_identical(router.at(i).reports(), fx.serial[i]);
     EXPECT_GT(router.fleet().sessions_migrated_out, 1u);
+}
+
+TEST(MigrationTest, ReshapeIsSerializedWithPassesAndSnapshots) {
+    // reshape() appends shards while a pumper thread runs fleet-wide
+    // passes and a snapshot thread merges fleet() -- both read the shard
+    // list, so reshape must serialize with them (the tsan job runs this),
+    // and every moved session still resumes bit-identically.  The main
+    // thread is the only producer, so producers are quiesced during the
+    // reshape as its contract asks.
+    const sharded_fixture fx(8, 300.0);
+    qs::router_options opt;
+    opt.shards = 2;
+    opt.shard.threads = 2;
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        router.add_session(fx.session(i));
+
+    const auto ingest_half = [&](bool second) {
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            const auto& rec = fx.records[i];
+            const std::size_t mid = rec.beats() / 2;
+            for (std::size_t b = second ? mid : 0;
+                 b < (second ? rec.beats() : mid); ++b)
+                while (!router.ingest(i, rec.beat_time_s[b], rec.rr_s[b]))
+                    std::this_thread::yield();
+        }
+    };
+
+    std::atomic<bool> stop{false};
+    std::thread pumper([&router, &stop] {
+        while (!stop.load(std::memory_order_acquire)) {
+            router.pump();
+            std::this_thread::yield();
+        }
+    });
+    std::thread snapshotter([&router, &stop] {
+        while (!stop.load(std::memory_order_acquire)) {
+            const auto snap = router.fleet();
+            (void)snap.windows;
+            std::this_thread::yield();
+        }
+    });
+
+    ingest_half(false);
+    router.reshape(4);
+    ingest_half(true);
+
+    stop.store(true, std::memory_order_release);
+    pumper.join();
+    snapshotter.join();
+    router.drain_all();
+
+    EXPECT_EQ(router.shard_count(), 4u);
+    std::uint64_t windows = 0;
+    for (unsigned i = 0; i < fx.records.size(); ++i) {
+        expect_reports_identical(router.at(i).reports(), fx.serial[i]);
+        windows += fx.serial[i].size();
+    }
+    EXPECT_EQ(router.fleet().windows, windows);
 }
