@@ -1,9 +1,13 @@
 // Tests for the fixed-point wavelet FFT (precision-scalable datapath).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "qpsa/dsp/dft.hpp"
+#include "qpsa/lomb/fixed_engine.hpp"
+#include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
 
@@ -46,7 +50,112 @@ double transform_error(const qf::fixed_wavelet_fft<F>& fft,
     return std::sqrt(num / den);
 }
 
+/// FNV-1a over 64-bit words, fed least-significant byte first.
+struct fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void add(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/// Seeded complex samples in [-peak, peak], drawn from splitmix64 so the
+/// inputs do not depend on the standard library's distributions.
+std::vector<cplx> seeded_window(std::size_t n, std::uint64_t seed, double peak) {
+    std::vector<cplx> x(n);
+    std::uint64_t s = seed;
+    auto draw = [&] {
+        s = qpsa::util::splitmix64(s);
+        return static_cast<double>(s >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+    };
+    double hi = 0.0;
+    for (auto& v : x) {
+        v = cplx{draw(), draw()};
+        hi = std::max({hi, std::abs(v.real()), std::abs(v.imag())});
+    }
+    for (auto& v : x) v *= peak / hi;
+    return x;
+}
+
+template <unsigned F>
+std::vector<typename qf::fixed_wavelet_fft<F>::config> golden_configs(
+    std::size_t n) {
+    return {{.n = n},
+            {.n = n, .band_drop = true, .twiddle_fraction = 0.4},
+            {.n = n, .twiddle_fraction = 0.4}};
+}
+
+/// One hash per config over the output raws for three seeded input sets:
+/// the engine adapter's 0.2 peak, 3x that, and 0.75 of the format's
+/// ceiling (where the Haar and butterfly adds saturate).
+template <unsigned F>
+std::vector<std::uint64_t> transform_output_hashes() {
+    using fft_t = qf::fixed_wavelet_fft<F>;
+    using scalar = typename fft_t::scalar;
+    const std::size_t n = 512;
+    std::vector<std::uint64_t> hashes;
+    for (const auto& cfg : golden_configs<F>(n)) {
+        const fft_t fft(cfg);
+        fnv1a h;
+        const double peaks[] = {0.2, 0.6, 0.75 * scalar::max_value()};
+        for (std::size_t s = 0; s < 3; ++s) {
+            const auto x = seeded_window(n, 0x5eed0000U + s, peaks[s]);
+            std::vector<typename fft_t::fcplx> in(n);
+            for (std::size_t i = 0; i < n; ++i)
+                in[i] = {scalar(x[i].real()), scalar(x[i].imag())};
+            std::vector<typename fft_t::fcplx> out(n);
+            fft.forward(in, out);
+            for (const auto& v : out) {
+                h.add(static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(v.re.raw())));
+                h.add(static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(v.im.raw())));
+            }
+        }
+        hashes.push_back(h.h);
+    }
+    return hashes;
+}
+
+/// Hash of the output-double bits of the Fast-Lomb adapter over seeded
+/// windows of mixed amplitude, every config, one reused arena.
+template <unsigned F>
+std::uint64_t engine_output_hash() {
+    const std::size_t n = 512;
+    qpsa::util::arena scratch;
+    fnv1a h;
+    for (const auto& cfg : golden_configs<F>(n)) {
+        const qpsa::lomb::fixed_wavelet_engine<F> engine(cfg);
+        for (std::uint64_t w = 0; w < 4; ++w) {
+            const auto in = seeded_window(n, 0xe1e0000U + w, 1.0 + 37.0 * w);
+            std::vector<cplx> out(n);
+            engine.forward(in, out, nullptr, scratch);
+            for (const cplx& v : out) {
+                h.add(std::bit_cast<std::uint64_t>(v.real()));
+                h.add(std::bit_cast<std::uint64_t>(v.imag()));
+            }
+        }
+    }
+    return h.h;
+}
+
 }  // namespace
+
+TEST(FixedWfftTest, GoldenOutputBits) {
+    // Pinned output bits of the Q15 and Q31 datapaths (exact, band drop
+    // with 40 % factor pruning, full with 40 % pruning).  Any change to
+    // the fixed-point primitives' rounding or saturation moves a hash.
+    const std::vector<std::uint64_t> q15 = {
+        0xafa2e1e07c3506ccULL, 0x7eec79b53242496cULL, 0x1c572d9ed37123c6ULL};
+    const std::vector<std::uint64_t> q31 = {
+        0xc77daa09a68a5f2aULL, 0xfa8ed7e521962fdcULL, 0x94aaf523e683ce68ULL};
+    EXPECT_EQ(transform_output_hashes<15>(), q15);
+    EXPECT_EQ(transform_output_hashes<31>(), q31);
+    EXPECT_EQ(engine_output_hash<15>(), 0x80c004f7374991d4ULL);
+    EXPECT_EQ(engine_output_hash<31>(), 0xb83a5fa809b2a759ULL);
+}
 
 TEST(FixedWfftTest, Q23MatchesDftClosely) {
     const std::size_t n = 128;
