@@ -2,14 +2,16 @@
 //
 // Operation counts drive the paper's energy model; this binary provides
 // the complementary host-time view: split-radix vs radix-2 vs the wavelet
-// FFT in its exact / band-dropped / pruned configurations, the DWT, the
-// extirpolation, and the end-to-end Fast-Lomb window.
+// FFT in its exact / band-dropped / pruned configurations, the Q15/Q31
+// fixed-point engines, the DWT, the extirpolation, and the end-to-end
+// Fast-Lomb window.
 #include <benchmark/benchmark.h>
 
 #include "qpsa/dsp/fft_radix2.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
 #include "qpsa/lomb/extirpolate.hpp"
 #include "qpsa/lomb/fast_lomb.hpp"
+#include "qpsa/lomb/fixed_engine.hpp"
 #include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
@@ -104,6 +106,39 @@ BENCHMARK(bm_wavelet_fft)
     ->Args({512, 1})
     ->Args({512, 2})
     ->Args({1024, 2});
+
+/// One 512-point forward of the fixed-point engine through the Fast-Lomb
+/// adapter (scale in, transform, scale out) on a reused arena.  Args:
+/// fractional bits (15 or 31), mode (0 exact, 1 band drop + Set2).
+template <unsigned F>
+void run_fixed_engine(benchmark::State& state, bool pruned) {
+    const std::size_t n = 512;
+    const lomb::fixed_wavelet_engine<F> engine(
+        {.n = n,
+         .band_drop = pruned,
+         .twiddle_fraction =
+             pruned ? wfft::set_fraction(wfft::twiddle_set::set2) : 0.0});
+    const auto x = random_signal(n);
+    std::vector<cplx> out(n);
+    util::arena scratch;
+    state.SetLabel(engine.name());
+    for (auto _ : state) {
+        engine.forward(x, out, nullptr, scratch);
+        benchmark::DoNotOptimize(out.data());
+    }
+}
+void bm_fixed_wavelet_engine(benchmark::State& state) {
+    const bool pruned = state.range(1) != 0;
+    if (state.range(0) == 15)
+        run_fixed_engine<15>(state, pruned);
+    else
+        run_fixed_engine<31>(state, pruned);
+}
+BENCHMARK(bm_fixed_wavelet_engine)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({31, 0})
+    ->Args({31, 1});
 
 void bm_dwt_level(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

@@ -136,7 +136,7 @@ public:
 
     /// Hop cache of this monitor (hit/miss/bytes telemetry).  Only active
     /// -- and only populated -- when the config sets lomb.hop_aligned and
-    /// the QPSA_HOPCACHE toggle is on; otherwise all counters stay zero.
+    /// lomb::hop_cache_enabled() is on; otherwise all counters stay zero.
     const lomb::hop_cache& hop_cache() const noexcept { return hop_cache_; }
 
     std::size_t windows_completed() const noexcept { return completed_; }

@@ -10,8 +10,12 @@
 // 64-bit intermediates, round-to-nearest on multiply, and saturating
 // conversions.  This mirrors the DSP datapath of a sensor-node MCU.
 // Above 30 fractional bits (e.g. Q1.31, the format of a 32x32->64 MAC
-// datapath) the raw value widens to 64 bits with 128-bit intermediates,
-// so the same template covers both the Q15 and Q31 service engines.
+// datapath) the raw value widens to 64 bits, so the same template covers
+// both the Q15 and Q31 service engines.  Their arithmetic stays in native
+// int64 -- a product of raws inside [-2^31, 2^31], a sum or difference
+// that does not overflow -- and takes 128-bit intermediates only when an
+// operand lies outside that range or the int64 result would saturate.
+// Both routes give bit-identical results.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +46,7 @@ public:
     constexpr fixed_point() = default;
 
     /// Convert from floating point with round-to-nearest and saturation.
-    explicit fixed_point(double v) : raw_(saturate_wide(to_raw_wide(v))) {}
+    explicit fixed_point(double v) : raw_(to_raw(v)) {}
 
     static constexpr fixed_point from_raw(raw_type r) noexcept {
         fixed_point f;
@@ -63,12 +67,31 @@ public:
     }
 
     friend fixed_point operator+(fixed_point a, fixed_point b) noexcept {
+        if constexpr (FracBits > 30) {
+            raw_type sum;
+            if (!__builtin_add_overflow(a.raw_, b.raw_, &sum)) return from_raw(sum);
+        }
         return from_raw(saturate_wide(static_cast<wide_type>(a.raw_) + b.raw_));
     }
     friend fixed_point operator-(fixed_point a, fixed_point b) noexcept {
+        if constexpr (FracBits > 30) {
+            raw_type diff;
+            if (!__builtin_sub_overflow(a.raw_, b.raw_, &diff)) return from_raw(diff);
+        }
         return from_raw(saturate_wide(static_cast<wide_type>(a.raw_) - b.raw_));
     }
     friend fixed_point operator*(fixed_point a, fixed_point b) noexcept {
+        if constexpr (FracBits > 30) {
+            // Raws inside [-2^31, 2^31] (2^31 is Q1.31's 1.0, a unit twiddle):
+            // |product| <= 2^62, so product plus the half LSB fits int64,
+            // and the shifted result cannot saturate.
+            constexpr std::uint64_t bias = std::uint64_t{1} << 31;
+            if (static_cast<std::uint64_t>(a.raw_) + bias <= 2 * bias &&
+                static_cast<std::uint64_t>(b.raw_) + bias <= 2 * bias) {
+                const std::int64_t prod = a.raw_ * b.raw_;
+                return from_raw((prod + (std::int64_t{1} << (FracBits - 1))) >> FracBits);
+            }
+        }
         const wide_type prod = static_cast<wide_type>(a.raw_) * b.raw_;
         // Round to nearest: add half an LSB before the arithmetic shift.
         const wide_type rounded = (prod + (wide_type{1} << (FracBits - 1))) >> FracBits;
@@ -95,20 +118,24 @@ public:
     fixed_point abs() const noexcept { return raw_ < 0 ? -*this : *this; }
 
 private:
-    static wide_type to_raw_wide(double v) noexcept {
+    static raw_type to_raw(double v) noexcept {
         const double scaled = v * static_cast<double>(one_raw);
-        // llround's result is unspecified once the scaled value leaves
-        // the long long range (which for the wide formats happens exactly
-        // at the format ceiling), so saturate in the double domain first.
+        // Integer conversion is undefined once the scaled value leaves the
+        // long long range (which for the wide formats happens exactly at
+        // the format ceiling), so saturate in the double domain first.
+        // The second test also catches NaN, which saturates to the minimum
+        // (where glibc's llround result, LLONG_MIN, clamped it).
         const double hi =
             static_cast<double>(std::numeric_limits<raw_type>::max());
         const double lo =
             static_cast<double>(std::numeric_limits<raw_type>::min());
-        if (scaled >= hi)
-            return static_cast<wide_type>(std::numeric_limits<raw_type>::max());
-        if (scaled <= lo)
-            return static_cast<wide_type>(std::numeric_limits<raw_type>::min());
-        return static_cast<wide_type>(std::llround(scaled));
+        if (scaled >= hi) return std::numeric_limits<raw_type>::max();
+        if (!(scaled > lo)) return std::numeric_limits<raw_type>::min();
+        // Round half away from zero, as llround does: truncate, then test
+        // the fraction, which scaled - t holds exactly.
+        const auto t = static_cast<std::int64_t>(scaled);
+        const double frac = scaled - static_cast<double>(t);
+        return static_cast<raw_type>(t + (frac >= 0.5) - (frac <= -0.5));
     }
     static raw_type saturate_wide(wide_type w) noexcept {
         constexpr wide_type lo = std::numeric_limits<raw_type>::min();

@@ -1,17 +1,7 @@
 #include "qpsa/lomb/hop_cache.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace qpsa::lomb {
 namespace {
-
-bool env_enabled() {
-    const char* v = std::getenv("QPSA_HOPCACHE");
-    if (v == nullptr) return true;
-    return std::strcmp(v, "off") != 0 && std::strcmp(v, "OFF") != 0 &&
-           std::strcmp(v, "0") != 0 && std::strcmp(v, "false") != 0;
-}
 
 std::atomic<bool>& runtime_flag() {
     static std::atomic<bool> on{true};
@@ -30,8 +20,7 @@ std::uint64_t hop_cache::bytes() const noexcept {
 }
 
 bool hop_cache_enabled() noexcept {
-    static const bool env = env_enabled();
-    return env && runtime_flag().load(std::memory_order_relaxed);
+    return runtime_flag().load(std::memory_order_relaxed);
 }
 
 void set_hop_cache_enabled(bool on) noexcept {

@@ -45,9 +45,9 @@ class hop_cache;
 /// Hop-alignment context of one analysis window: window m covers
 /// [m * hop, m * hop + window_seconds).  Built by the streaming monitor
 /// when the configuration opts into hop alignment; `cache` may be null
-/// (reuse disabled -- e.g. QPSA_HOPCACHE=off) without changing any
-/// arithmetic, because the aligned computations are a function of the
-/// configuration and this context only, never of cache contents.
+/// (reuse disabled by set_hop_cache_enabled(false)) without changing
+/// any arithmetic, because the aligned computations are a function of
+/// the configuration and this context only, never of cache contents.
 struct hop_ctx {
     hop_cache* cache = nullptr;
     std::int64_t window_index = 0;  ///< m: window start == m * hop_seconds
@@ -147,8 +147,7 @@ private:
     std::atomic<std::uint64_t> misses_{0};
 };
 
-/// Process-wide reuse switch: the QPSA_HOPCACHE environment variable
-/// ("off"/"0"/"false" disables; read once) AND the runtime toggle below.
+/// Process-wide reuse switch, on unless set_hop_cache_enabled(false).
 /// Controls only whether a cache is attached to new windows -- never the
 /// arithmetic -- so flipping it mid-stream keeps outputs bit-identical.
 bool hop_cache_enabled() noexcept;

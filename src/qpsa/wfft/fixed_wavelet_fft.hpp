@@ -15,6 +15,7 @@
 // the interstage shifts below are enabled).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,17 +59,7 @@ public:
 
     /// Of those, how many are skipped by the static factor pruning (the
     /// quantile threshold folded into the tables at construction).
-    std::size_t pruned_terms() const noexcept {
-        auto count = [](const std::vector<bool>& v) {
-            std::size_t c = 0;
-            for (const bool p : v)
-                if (p) ++c;
-            return c;
-        };
-        std::size_t total = count(pruned_a_) + count(pruned_c_);
-        if (!cfg_.band_drop) total += count(pruned_b_) + count(pruned_d_);
-        return total;
-    }
+    std::size_t pruned_terms() const noexcept { return pruned_terms_; }
 
     /// Forward transform; in/out sized n.  Output scale is 1/N relative
     /// to the mathematical DFT when interstage_shift is on.
@@ -208,6 +199,11 @@ private:
         convert(ref.b, fb_, pruned_b_);
         convert(ref.c, fc_, pruned_c_);
         convert(ref.d, fd_, pruned_d_);
+        auto count = [](const std::vector<bool>& v) {
+            return static_cast<std::size_t>(std::count(v.begin(), v.end(), true));
+        };
+        pruned_terms_ = count(pruned_a_) + count(pruned_c_);
+        if (!cfg_.band_drop) pruned_terms_ += count(pruned_b_) + count(pruned_d_);
 
         // Sub-FFT twiddles and bit-reversal for size n/2.
         const std::size_t m = half;
@@ -232,6 +228,7 @@ private:
     config cfg_;
     std::vector<fcplx> fa_, fb_, fc_, fd_;
     std::vector<bool> pruned_a_, pruned_b_, pruned_c_, pruned_d_;
+    std::size_t pruned_terms_ = 0;
     std::vector<fcplx> subtw_;
     std::vector<std::size_t> bitrev_;
 };

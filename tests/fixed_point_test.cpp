@@ -1,9 +1,14 @@
 // Tests for the templated fixed-point scalar (precision-scaling substrate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "qpsa/fixedpoint/fixed_point.hpp"
+#include "qpsa/util/random.hpp"
 
 namespace qf = qpsa::fp;
 
@@ -151,3 +156,116 @@ TEST_P(FixedPointPropertyTest, CommutativityAndInverse) {
 INSTANTIATE_TEST_SUITE_P(Grid, FixedPointPropertyTest,
                          ::testing::Values(-0.9, -0.5, -0.1, 0.0, 0.1, 0.33, 0.5,
                                            0.77, 0.9));
+
+// The arithmetic and conversion fast paths against the wide reference
+// formulas: widen, round half up before the shift, clamp.  Run under
+// asan+ubsan, a fast path that overflows a native integer also trips the
+// sanitizer.
+namespace {
+
+template <unsigned F>
+struct wide_reference {
+    using fx = qf::fixed_point<F>;
+    using raw = typename fx::raw_type;
+    using wide = typename fx::wide_type;
+    static constexpr wide lo = std::numeric_limits<raw>::min();
+    static constexpr wide hi = std::numeric_limits<raw>::max();
+
+    static raw clamp(wide w) { return static_cast<raw>(std::clamp(w, lo, hi)); }
+    static raw add(raw a, raw b) { return clamp(static_cast<wide>(a) + b); }
+    static raw sub(raw a, raw b) { return clamp(static_cast<wide>(a) - b); }
+    static raw mul(raw a, raw b) {
+        const wide prod = static_cast<wide>(a) * b;
+        return clamp((prod + (wide{1} << (F - 1))) >> F);
+    }
+    /// Non-NaN doubles only: llround's NaN result is platform-specific.
+    static raw from_double(double v) {
+        const double scaled = v * static_cast<double>(fx::one_raw);
+        if (scaled >= static_cast<double>(hi)) return static_cast<raw>(hi);
+        if (scaled <= static_cast<double>(lo)) return static_cast<raw>(lo);
+        return clamp(static_cast<wide>(std::llround(scaled)));
+    }
+};
+
+template <unsigned F>
+void check_fast_paths() {
+    using ref = wide_reference<F>;
+    using fx = typename ref::fx;
+    using raw = typename ref::raw;
+    constexpr std::int64_t rmin = std::numeric_limits<raw>::min();
+    constexpr std::int64_t rmax = std::numeric_limits<raw>::max();
+    constexpr std::int64_t two31 = std::int64_t{1} << 31;
+
+    auto check_pair = [](raw a, raw b) {
+        const fx x = fx::from_raw(a);
+        const fx y = fx::from_raw(b);
+        ASSERT_EQ((x + y).raw(), ref::add(a, b)) << "F=" << F << " " << a << "+" << b;
+        ASSERT_EQ((x - y).raw(), ref::sub(a, b)) << "F=" << F << " " << a << "-" << b;
+        ASSERT_EQ((x * y).raw(), ref::mul(a, b)) << "F=" << F << " " << a << "*" << b;
+    };
+
+    // Every pair of boundary raws that the raw type can hold.
+    std::vector<raw> edges;
+    for (const std::int64_t v :
+         {rmin, rmin + 1, -two31 - 1, -two31, -two31 + 1, std::int64_t{-1},
+          std::int64_t{0}, std::int64_t{1}, two31 - 2, two31 - 1, two31, two31 + 1,
+          rmax - 1, rmax})
+        if (v >= rmin && v <= rmax) edges.push_back(static_cast<raw>(v));
+    for (const raw a : edges)
+        for (const raw b : edges) check_pair(a, b);
+
+    // Seeded random pairs mixing small, int32-range, near-limit and
+    // full-range raws.
+    std::uint64_t s = 0x0f15ed0000000000ULL + F;
+    auto draw = [&]() -> raw {
+        s = qpsa::util::splitmix64(s);
+        const std::uint64_t bits = s >> 2;
+        switch (s & 3U) {
+            case 0: return static_cast<raw>(static_cast<std::int64_t>(bits % 131071) - 65535);
+            case 1: return static_cast<raw>(static_cast<std::int32_t>(bits));
+            case 2: {
+                const auto off = static_cast<std::int64_t>(bits % 64);
+                return static_cast<raw>((bits & 64U) != 0 ? rmin + off : rmax - off);
+            }
+            default: return static_cast<raw>(static_cast<std::int64_t>(bits << 2));
+        }
+    };
+    for (int i = 0; i < 100000; ++i) check_pair(draw(), draw());
+
+    // Conversion: ties at +-(k + 1/2) * 2^-F, one ulp either side of each,
+    // the range edges, +-0 and NaN.
+    auto check_conv = [](double v) {
+        ASSERT_EQ(fx(v).raw(), ref::from_double(v)) << "F=" << F << " v=" << v;
+    };
+    for (const double k : {0.0, 1.0, 2.0, 3.0, 7.0, 1000.0, 65535.0, 2147483647.0,
+                           2147483648.0, 0x1.0p40, 0x1.0p51, 4503599627370495.0}) {
+        const double tie = std::ldexp(k + 0.5, -static_cast<int>(F));
+        for (const double t : {tie, -tie}) {
+            check_conv(t);
+            check_conv(std::nextafter(t, HUGE_VAL));
+            check_conv(std::nextafter(t, -HUGE_VAL));
+        }
+    }
+    for (const double e : {fx::max_value(), -fx::max_value(),
+                           static_cast<double>(rmin) / static_cast<double>(fx::one_raw),
+                           1e300, -1e300, HUGE_VAL, -HUGE_VAL}) {
+        check_conv(e);
+        check_conv(std::nextafter(e, 0.0));
+        check_conv(std::nextafter(e, HUGE_VAL));
+        check_conv(std::nextafter(e, -HUGE_VAL));
+    }
+    check_conv(0.0);
+    check_conv(-0.0);
+    EXPECT_EQ(fx(std::nan("")).raw(), rmin) << "F=" << F;
+    EXPECT_EQ(fx(-std::nan("")).raw(), rmin) << "F=" << F;
+}
+
+}  // namespace
+
+TEST(FixedPointTest, FastPathsMatchWideReference) {
+    check_fast_paths<15>();
+    check_fast_paths<23>();
+    check_fast_paths<31>();
+    check_fast_paths<40>();
+    check_fast_paths<62>();
+}
