@@ -125,6 +125,7 @@ void run_fixed_engine(benchmark::State& state, bool pruned) {
     for (auto _ : state) {
         engine.forward(x, out, nullptr, scratch);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
 }
 void bm_fixed_wavelet_engine(benchmark::State& state) {

@@ -123,8 +123,7 @@ private:
         // Integer conversion is undefined once the scaled value leaves the
         // long long range (which for the wide formats happens exactly at
         // the format ceiling), so saturate in the double domain first.
-        // The second test also catches NaN, which saturates to the minimum
-        // (where glibc's llround result, LLONG_MIN, clamped it).
+        // The second test also sends NaN to the minimum.
         const double hi =
             static_cast<double>(std::numeric_limits<raw_type>::max());
         const double lo =

@@ -204,17 +204,18 @@ void check_fast_paths() {
         ASSERT_EQ((x * y).raw(), ref::mul(a, b)) << "F=" << F << " " << a << "*" << b;
     };
 
-    // Every pair of boundary raws that the raw type can hold.
+    // Every pair of boundary raws that the raw type can hold: the raw
+    // limits, and both sides of the int64 multiply's [-2^31, 2^31] range.
     std::vector<raw> edges;
     for (const std::int64_t v :
-         {rmin, rmin + 1, -two31 - 1, -two31, -two31 + 1, std::int64_t{-1},
-          std::int64_t{0}, std::int64_t{1}, two31 - 2, two31 - 1, two31, two31 + 1,
-          rmax - 1, rmax})
+         {rmin, rmin + 1, -2 * two31, -two31 - 1, -two31, -two31 + 1,
+          std::int64_t{-1}, std::int64_t{0}, std::int64_t{1}, two31 - 2,
+          two31 - 1, two31, two31 + 1, 2 * two31, rmax - 1, rmax})
         if (v >= rmin && v <= rmax) edges.push_back(static_cast<raw>(v));
     for (const raw a : edges)
         for (const raw b : edges) check_pair(a, b);
 
-    // Seeded random pairs mixing small, int32-range, near-limit and
+    // Seeded random pairs mixing small, int32-range, near-edge and
     // full-range raws.
     std::uint64_t s = 0x0f15ed0000000000ULL + F;
     auto draw = [&]() -> raw {
@@ -224,8 +225,11 @@ void check_fast_paths() {
             case 0: return static_cast<raw>(static_cast<std::int64_t>(bits % 131071) - 65535);
             case 1: return static_cast<raw>(static_cast<std::int32_t>(bits));
             case 2: {
+                // Within 64 of an edge, stepping inward near the raw limits.
+                const std::int64_t e = edges[(bits >> 7) % edges.size()];
                 const auto off = static_cast<std::int64_t>(bits % 64);
-                return static_cast<raw>((bits & 64U) != 0 ? rmin + off : rmax - off);
+                const bool up = e < rmin + 64 || (e <= rmax - 64 && (bits & 64U) != 0);
+                return static_cast<raw>(up ? e + off : e - off);
             }
             default: return static_cast<raw>(static_cast<std::int64_t>(bits << 2));
         }
